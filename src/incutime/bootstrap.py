@@ -5,6 +5,12 @@ replicate, and percentile intervals are built from the replicate deltas
 F*_b(t) - F_hat(t): the level-alpha interval at day t is
 
     [F_hat(t) - q_{1-alpha/2}(deltas), F_hat(t) - q_{alpha/2}(deltas)].
+
+A resample is a multinomial reweighting of the records (Efron & Tibshirani,
+1993), so a replicate never materializes a dataset: its drawn record indices
+are reduced to counts over the distinct-record rows of the weight matrix,
+and the refit runs on the rows that occur.  ``refit_replicates`` is the one
+replicate engine behind both the bootstrap and Fisher averaging.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .errors import (
 )
 from .inference import IntervalRow, IntervalTable
 from .model import Dataset, Grid, cdf_from_mass
-from .solver import SolverConfig, _minimize, fit_npmle
+from .solver import SolverConfig, _initial_support_index, _minimize, fit_npmle
 from .weights import WeightMatrix, build_weight_matrix
 
 
@@ -47,10 +53,12 @@ def _replicate_rng(seed, replicate_index: int) -> np.random.Generator:
     return np.random.default_rng([seed, replicate_index])
 
 
+def _replicate_indices(seed, replicate_index: int, n: int) -> np.ndarray:
+    return _replicate_rng(seed, replicate_index).integers(0, n, size=n)
+
+
 def resample(data: Dataset, seed, replicate_index: int) -> Dataset:
-    rng = _replicate_rng(seed, replicate_index)
-    idx = rng.integers(0, data.n, size=data.n)
-    return data.take(idx)
+    return data.take(_replicate_indices(seed, replicate_index, data.n))
 
 
 _REPLICATE_ERRORS = (
@@ -63,11 +71,38 @@ _REPLICATE_ERRORS = (
 )
 
 
-def _refit_rows(W: WeightMatrix, idx: np.ndarray, config: SolverConfig, init_index: int):
-    # Resampling rows of the precomputed weight matrix avoids rebuilding the
-    # record-by-day weights for every replicate.
-    sub = WeightMatrix(dense=W.dense[idx], grid=W.grid)
-    return _minimize(sub, init_index, config)
+def _refit_rows(
+    W: WeightMatrix, idx: np.ndarray, config: SolverConfig, init_index: int | None
+) -> tuple[WeightMatrix, np.ndarray]:
+    """Refit on the records idx; returns their weight matrix and the masses.
+
+    ``init_index`` None starts where ``fit_npmle`` would start on the drawn
+    records, so the refit equals ``fit_npmle(data.take(idx))``.
+    """
+    sub = W.take(idx)
+    if init_index is None:
+        init_index = _initial_support_index(sub, config)
+    masses, _ = _minimize(sub, init_index, config)
+    return sub, masses
+
+
+def refit_replicates(
+    W: WeightMatrix, seed, b: int, config: SolverConfig, init_index: int | None = None
+):
+    """Refit b bootstrap resamples of the records behind W.
+
+    Replicate k draws the records of ``resample(data, seed, k)``.  Yields,
+    in replicate order, ``(sub, masses)`` with the replicate's weight matrix
+    and fitted grid masses, or None when the refit fails with one of the
+    replicate errors; the caller decides how many failures it tolerates.
+    """
+    for k in range(b):
+        idx = _replicate_indices(seed, k, W.n)
+        try:
+            result = _refit_rows(W, idx, config, init_index)
+        except _REPLICATE_ERRORS:
+            result = None
+        yield result
 
 
 def bootstrap_ci(
@@ -100,21 +135,19 @@ def bootstrap_ci(
     W = build_weight_matrix(data, grid)
     init_index = int(np.argmax(mass.as_vector(grid)))
     estimates = np.array([fhat.value(d) for d in points])
+    # grid point j covers days grid.points[j] ..; value at day d is the
+    # partial sum over grid points <= d.
+    below = np.searchsorted(grid.points, points, side="right")
     deltas = np.empty((config.b, len(points)))
     failed = 0
     kept = 0
-    for k in range(config.b):
-        idx = _replicate_rng(config.seed, k).integers(0, data.n, size=data.n)
-        try:
-            probs, _ = _refit_rows(W, idx, solver_config, init_index)
-        except _REPLICATE_ERRORS:
+    for result in refit_replicates(W, config.seed, config.b, solver_config, init_index):
+        if result is None:
             failed += 1
             continue
+        _, probs = result
         rep_cdf = np.minimum(np.cumsum(probs), 1.0)
-        # grid point j covers days grid.points[j] ..; value at day d is the
-        # partial sum over grid points <= d.
-        counts = np.searchsorted(grid.points, points, side="right")
-        rep_values = np.where(counts > 0, rep_cdf[np.maximum(counts - 1, 0)], 0.0)
+        rep_values = np.where(below > 0, rep_cdf[np.maximum(below - 1, 0)], 0.0)
         deltas[kept] = rep_values - estimates
         kept += 1
     if failed > 0.1 * config.b:

@@ -25,6 +25,7 @@ from .errors import (
     InfeasiblePointError,
     InfeasibleRecordError,
     NonConvergenceError,
+    RankDeficiencyError,
 )
 from .inference import Z_QUANTILES, fisher_result, wald_intervals
 from .model import (
@@ -51,6 +52,7 @@ _FIT_FAILURES = (
     DegenerateFitError,
     InfeasibleRecordError,
     InfeasiblePointError,
+    RankDeficiencyError,
     BootstrapFailureError,
 )
 
@@ -368,6 +370,7 @@ def main(argv=None) -> int:
     except (
         InfeasibleRecordError,
         InfeasiblePointError,
+        RankDeficiencyError,
         DegenerateFitError,
         BootstrapFailureError,
     ) as exc:

@@ -12,21 +12,22 @@ import warnings
 
 import numpy as np
 
-from .errors import InfeasiblePointError
 from .model import Dataset, Grid, MassFunction
+from .solver import _positive_terms
 from .weights import WeightMatrix, build_weight_matrix
 
 FREEZE_EPS = 1e-15  # masses below this are frozen at zero
 
 
+def _responsibility(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
+    """(1/n) sum_i w_i(j) / (sum_k p_k w_i(k)), as a count-weighted pattern sum."""
+    terms = _positive_terms(p, weights)
+    return (weights.dense.T @ (weights.counts / terms)) / weights.n
+
+
 def em_step(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """p_j <- p_j * (1/n) sum_i w_i(j) / (sum_k p_k w_i(k))."""
-    terms = weights.dense @ p
-    bad = np.flatnonzero(terms <= 0.0)
-    if bad.size:
-        raise InfeasiblePointError(int(bad[0]))
-    ratio = (weights.dense.T @ (1.0 / terms)) / weights.n
-    out = p * ratio
+    out = p * _responsibility(p, weights)
     out[out < FREEZE_EPS] = 0.0
     return out
 
@@ -45,11 +46,7 @@ def fit_em(
     weights = build_weight_matrix(data, grid)
     p = np.full(weights.m, 1.0 / weights.m)
     for _ in range(max_iter):
-        terms = weights.dense @ p
-        bad = np.flatnonzero(terms <= 0.0)
-        if bad.size:
-            raise InfeasiblePointError(int(bad[0]))
-        ratio = (weights.dense.T @ (1.0 / terms)) / weights.n
+        ratio = _responsibility(p, weights)
         grad = 1.0 - ratio
         alive = p > 0.0
         if grad[alive].min() >= -tol and abs(p @ grad) <= tol:

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFitError, SingularMatrixError
+from .errors import DegenerateFitError, InfeasibleRecordError, SingularMatrixError
 from .linalg import spd_invert
 from .model import SINGLE, Dataset, DayCdf, Grid, MassFunction, cdf_from_mass
-from .solver import SolverConfig, fit_npmle
-from .weights import window_weight
+from .solver import SolverConfig
+from .weights import WeightMatrix, build_weight_matrix
 
 Z_QUANTILES = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
 
@@ -82,12 +82,49 @@ class FisherResult:
     replicates_skipped: int = 0
 
 
-def _denominators_singly(data: Dataset, fhat: DayCdf) -> np.ndarray:
-    return fhat.value_at(data.s) - fhat.value_at(data.s - data.e)
-
-
 def _masses_from_cdf(fhat: DayCdf) -> np.ndarray:
     return np.diff(fhat.values, prepend=0.0)
+
+
+def _information(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
+    """Count-weighted observed information from weight-matrix columns.
+
+    f_jk = (1/n) sum_i c_i (w_i(j) - w_i(m)) (w_i(k) - w_i(m)) / d_i^2
+
+    over the distinct records i with counts c_i, where j and k run over the
+    first l - 1 mass points, m is the last one, w_i is the record's weight
+    row (interval indicator or window kernel) and d_i = sum_t w_i(t) p_t its
+    fitted probability under the masses of ``fhat``.
+    """
+    support = np.asarray(support, dtype=int)
+    if support.size < 2:
+        raise DegenerateFitError("information matrix needs at least 2 mass points")
+    points = weights.grid.points
+    if not np.isin(support, points).all():
+        raise ValueError("support days must be grid points")
+    cols = np.searchsorted(points, support)
+    denom = weights.dense @ _masses_from_cdf(fhat)[points - 1]
+    bad = np.flatnonzero(denom <= 0.0)
+    if bad.size:
+        raise DegenerateFitError(
+            f"record {weights.record_of(int(bad[0]))} has zero fitted probability"
+        )
+    at_support = weights.dense[:, cols]
+    centered = (at_support[:, :-1] - at_support[:, [-1]]) * (
+        weights.root_counts / denom
+    )[:, None]
+    fisher = (centered.T @ centered) / weights.n
+    return 0.5 * (fisher + fisher.T)
+
+
+def _day_weights(data: Dataset, fhat: DayCdf) -> WeightMatrix:
+    """Weights of the records over days 1..fhat.last_day."""
+    try:
+        return build_weight_matrix(data, Grid(points=np.arange(1, fhat.last_day + 1)))
+    except InfeasibleRecordError as exc:
+        raise DegenerateFitError(
+            f"record {exc.record_index} has zero fitted probability"
+        ) from None
 
 
 def observed_fisher_singly(
@@ -99,21 +136,7 @@ def observed_fisher_singly(
     where 1_i(t) indicates t in (s_i - e_i, s_i], m is the last mass point
     and denom_i the fitted probability of record i.
     """
-    support = np.asarray(support, dtype=int)
-    if support.size < 2:
-        raise DegenerateFitError("information matrix needs at least 2 mass points")
-    denom = _denominators_singly(data, fhat)
-    bad = np.flatnonzero(denom <= 0.0)
-    if bad.size:
-        raise DegenerateFitError(
-            f"record {int(bad[0])} has zero fitted probability"
-        )
-    lo = (data.s - data.e)[:, None]
-    hi = data.s[:, None]
-    ind = ((support[None, :] > lo) & (support[None, :] <= hi)).astype(float)
-    centered = (ind[:, :-1] - ind[:, [-1]]) / denom[:, None]
-    fisher = (centered.T @ centered) / data.n
-    return 0.5 * (fisher + fisher.T)
+    return _information(_day_weights(data, fhat), fhat, support)
 
 
 def observed_fisher_doubly(
@@ -126,26 +149,7 @@ def observed_fisher_doubly(
     psi(., t) - psi(., m) over the first l - 1 mass points, scaled by the
     squared fitted window probability.
     """
-    support = np.asarray(support, dtype=int)
-    if support.size < 2:
-        raise DegenerateFitError("information matrix needs at least 2 mass points")
-    masses = _masses_from_cdf(fhat)
-    days = np.arange(1, fhat.last_day + 1)
-    kernel_all = window_weight(
-        data.e[:, None], data.s_l[:, None], data.s_r[:, None], days[None, :]
-    )
-    denom = kernel_all @ masses
-    bad = np.flatnonzero(denom <= 0.0)
-    if bad.size:
-        raise DegenerateFitError(
-            f"record {int(bad[0])} has zero fitted window probability"
-        )
-    kernel_sup = window_weight(
-        data.e[:, None], data.s_l[:, None], data.s_r[:, None], support[None, :]
-    )
-    centered = (kernel_sup[:, :-1] - kernel_sup[:, [-1]]) / denom[:, None]
-    fisher = (centered.T @ centered) / data.n
-    return 0.5 * (fisher + fisher.T)
+    return _information(_day_weights(data, fhat), fhat, support)
 
 
 def averaged_inverse_information(
@@ -168,35 +172,30 @@ def averaged_inverse_information(
     fails, degenerates, or yields a singular matrix are skipped and counted.
     Averaging over b = 1 reproduces the inverse of the plain matrix of that
     single resample.
+
+    Replicates come from the bootstrap's replicate engine: each one reweights
+    the rows of one weight matrix and starts its refit where ``fit_npmle``
+    would start on the drawn records, so no dataset is copied and no weight
+    is evaluated twice.
     """
-    from .bootstrap import resample
-    from .errors import (
-        InfeasiblePointError,
-        LineSearchError,
-        NonConvergenceError,
-        RankDeficiencyError,
-    )
+    from .bootstrap import refit_replicates
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
+    weights = build_weight_matrix(data, grid)
     total = None
     used = 0
     skipped = 0
-    for k in range(b):
-        replicate = resample(data, seed, k)
+    for result in refit_replicates(weights, seed, b, solver_config):
+        if result is None:
+            skipped += 1
+            continue
+        sub, masses = result
+        positive = masses > 0.0
+        mass = MassFunction(support=grid.points[positive], probs=masses[positive])
         try:
-            mass, _ = fit_npmle(replicate, grid, solver_config)
-            fhat = cdf_from_mass(mass, grid)
-            matrix = observed_fisher_doubly(replicate, fhat, support)
-            inverse = spd_invert(matrix)
-        except (
-            NonConvergenceError,
-            DegenerateFitError,
-            RankDeficiencyError,
-            LineSearchError,
-            InfeasiblePointError,
-            SingularMatrixError,
-        ):
+            inverse = spd_invert(_information(sub, cdf_from_mass(mass, grid), support))
+        except (DegenerateFitError, SingularMatrixError):
             skipped += 1
             continue
         total = inverse if total is None else total + inverse

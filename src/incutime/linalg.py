@@ -1,15 +1,15 @@
 """Small dense symmetric positive definite solves.
 
 The solver and the information-matrix pipeline only ever factor matrices of
-the order of the support size (a few dozen at most), so a plain Cholesky
-loop is plenty and lets failure report the offending pivot instead of
-silently regularizing.
+the order of the support size (a few dozen at most).  Every solve and inverse
+goes through one LAPACK Cholesky factorization (``dpotrf``), and failure
+reports the offending pivot instead of silently regularizing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import SingularMatrixError
 
@@ -24,29 +24,40 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = a; raises on a non-positive pivot."""
+    """Lower-triangular L with L L^T = a; raises on the first bad pivot.
+
+    LAPACK stops at the first non-positive pivot, but some implementations
+    let a NaN pivot through, so the factor's diagonal up to the stopping
+    point is also checked for non-finite entries.
+    """
     check_symmetric(a)
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if not np.isfinite(d) or d <= 0.0:
-            raise SingularMatrixError(pivot=j)
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
+    low, info = dpotrf(np.asarray(a, dtype=float), lower=1)
+    if info < 0:
+        raise ValueError(f"dpotrf: illegal argument {-info}")
+    stop = info - 1 if info > 0 else low.shape[0]
+    bad = np.flatnonzero(~np.isfinite(np.diagonal(low)[:stop]))
+    if bad.size:
+        raise SingularMatrixError(pivot=int(bad[0]))
+    if info > 0:
+        raise SingularMatrixError(pivot=info - 1)
     return low
 
 
 def spd_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    low = cholesky_factor(a)
-    y = solve_triangular(low, np.asarray(rhs, dtype=float), lower=True)
-    return solve_triangular(low.T, y, lower=False)
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[0] == 0:
+        return rhs.copy()
+    x, info = dpotrs(cholesky_factor(a), rhs, lower=1)
+    if info != 0:
+        raise ValueError(f"dpotrs: illegal argument {-info}")
+    return x
 
 
 def spd_invert(a: np.ndarray) -> np.ndarray:
-    low = cholesky_factor(a)
-    eye = np.eye(a.shape[0])
-    y = solve_triangular(low, eye, lower=True)
-    return solve_triangular(low.T, y, lower=False)
+    if np.shape(a)[0] == 0:
+        return np.zeros((0, 0))
+    inv, info = dpotri(cholesky_factor(a), lower=1)
+    if info != 0:
+        raise SingularMatrixError(pivot=info - 1)
+    # dpotri fills the lower triangle only
+    return np.tril(inv) + np.tril(inv, -1).T

@@ -15,6 +15,11 @@ both enforced at ``SolverConfig.tol``.  Each outer iteration minimizes the
 local quadratic expansion of phi over the cone by alternately growing and
 shrinking a candidate support set, then takes a backtracking (Armijo) step
 toward the subproblem solution.
+
+Identical records give identical terms, so every sum over records is taken
+as a count-weighted sum over the distinct records (the rows of the
+``WeightMatrix``); the cost of an iteration scales with the number of
+distinct records, not with n.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import spd_solve
-from .model import DOUBLE, Dataset, Grid, MassFunction
+from .model import Dataset, Grid, MassFunction
 from .weights import WeightMatrix, build_weight_matrix
 
 
@@ -45,7 +50,8 @@ class SolverConfig:
     armijo_shrink:  step shrink factor of the line search
     inner_tol:      gradient tolerance of the quadratic subproblem
     init_point:     optional starting support day (defaults to the grid
-                    point nearest the median observed onset)
+                    point nearest the median observed onset among those
+                    that carry weight for some record)
     """
 
     tol: float = 1e-10
@@ -87,22 +93,25 @@ class IterationTrace:
             fh.write(self.to_text())
 
 
-def phi(p: np.ndarray, weights: WeightMatrix) -> float:
-    """Criterion value; raises if any likelihood term vanishes."""
+def _positive_terms(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
+    """sum_j p_j w_i(j) per pattern; raises if any of them vanishes."""
     terms = weights.dense @ p
     bad = np.flatnonzero(terms <= 0.0)
     if bad.size:
-        raise InfeasiblePointError(int(bad[0]))
-    return float(-np.mean(np.log(terms)) + p.sum() - 1.0)
+        raise InfeasiblePointError(weights.record_of(int(bad[0])))
+    return terms
+
+
+def phi(p: np.ndarray, weights: WeightMatrix) -> float:
+    """Criterion value; raises if any likelihood term vanishes."""
+    terms = _positive_terms(p, weights)
+    return float(-(weights.counts @ np.log(terms)) / weights.n + p.sum() - 1.0)
 
 
 def phi_gradient(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """dphi/dp_j = 1 - (1/n) sum_i w_i(j) / (sum_k p_k w_i(k))."""
-    terms = weights.dense @ p
-    bad = np.flatnonzero(terms <= 0.0)
-    if bad.size:
-        raise InfeasiblePointError(int(bad[0]))
-    return 1.0 - (weights.dense.T @ (1.0 / terms)) / weights.n
+    terms = _positive_terms(p, weights)
+    return 1.0 - (weights.dense.T @ (weights.counts / terms)) / weights.n
 
 
 def fenchel_residuals(p: np.ndarray, weights: WeightMatrix) -> tuple[float, float]:
@@ -115,28 +124,29 @@ class _QuadraticModel:
     """Second-order expansion of phi at p0, shared across one inner pass.
 
     With d_i = sum_j p0_j w_i(j) the model is Q(p) = (1/2) p'Gp - b'p where
-    G_kl = (1/n) sum_i w_i(k) w_i(l) / d_i^2 and
-    b_k  = (2/n) sum_i w_i(k) / d_i - 1.
+    G_kl = (1/n) sum_i c_i w_i(k) w_i(l) / d_i^2 and
+    b_k  = (2/n) sum_i c_i w_i(k) / d_i - 1,
+    summed over the distinct records i with counts c_i.
     G is the exact Hessian and grad Q(p0) = grad phi(p0), so minimizing Q
     over the cone is a projected Newton step.
     """
 
     def __init__(self, weights: WeightMatrix, p0: np.ndarray):
-        d = weights.dense @ p0
-        bad = np.flatnonzero(d <= 0.0)
-        if bad.size:
-            raise InfeasiblePointError(int(bad[0]))
-        scaled = weights.dense / d[:, None]
+        d = _positive_terms(p0, weights)
+        # rows scaled by sqrt(count) / d_i, so that the count-weighted sums
+        # are plain products and the Gram matrix is exactly symmetric
+        root = weights.root_counts
+        scaled = weights.dense * (root / d)[:, None]
         self._wcols = weights.dense
-        self.b = 2.0 * scaled.mean(axis=0) - 1.0
+        self.b = 2.0 * (root @ scaled) / weights.n - 1.0
         self.gram = (scaled.T @ scaled) / weights.n
 
     def solve(self, support: list[int]) -> np.ndarray:
         """Unconstrained normal-equation solve restricted to the support.
 
-        Exactly duplicated weight columns make the normal matrix singular;
-        such later duplicates are dropped and given zero mass.  Any other
-        singularity is a genuine rank deficiency.
+        Exactly duplicated weight columns (over the distinct records) make
+        the normal matrix singular; such later duplicates are dropped and
+        given zero mass.  Any other singularity is a genuine rank deficiency.
         """
         idx = np.asarray(support, dtype=int)
         try:
@@ -187,9 +197,10 @@ def _inner_loop(
         while masses.size and masses.min() < 0.0:
             worst = int(np.argmin(masses))
             if support[worst] == just_added:
-                # the freshly added point cannot be the one removed; see the
-                # active-set exchange argument for nonnegative least squares
-                raise RuntimeError(
+                # the freshly added point cannot be the one removed in exact
+                # arithmetic (the active-set exchange argument for nonnegative
+                # least squares), so reaching here means rounding took over
+                raise NonConvergenceError(
                     "inner loop attempted to remove the point it just added"
                 )
             support.pop(worst)
@@ -273,14 +284,33 @@ def armijo_search(
     raise LineSearchError("no acceptable step length above 1e-15")
 
 
-def _initial_support_index(data: Dataset, grid: Grid, config: SolverConfig) -> int:
+def _median_center(weights: WeightMatrix) -> float:
+    """Median onset centre of the records, from the pattern centres and counts.
+
+    Equals ``np.median`` over the records: the two middle order statistics
+    are found by rank in the cumulative counts and averaged.
+    """
+    order = np.argsort(weights.centers, kind="stable")
+    ranked = weights.centers[order]
+    cum = np.cumsum(weights.counts[order])
+    n = weights.n
+    lo, hi = np.searchsorted(cum, [(n - 1) // 2, n // 2], side="right")
+    return float((ranked[lo] + ranked[hi]) / 2.0)
+
+
+def _initial_support_index(weights: WeightMatrix, config: SolverConfig) -> int:
+    """Grid index of the first support point.
+
+    ``config.init_point`` if given, else the grid day nearest the median
+    onset among the days whose weight column is nonzero: a day no record
+    can explain would start the solver on an all-zero normal matrix.
+    """
+    grid = weights.grid
     if config.init_point is not None:
         return grid.index_of(int(config.init_point))
-    if data.mode == DOUBLE:
-        center = float(np.median((data.s_l + data.s_r) / 2.0))
-    else:
-        center = float(np.median(data.s))
-    return int(np.argmin(np.abs(grid.points - center)))
+    live = (weights.dense > 0.0).any(axis=0)
+    distance = np.abs(grid.points - _median_center(weights))
+    return int(np.argmin(np.where(live, distance, np.inf)))
 
 
 def _minimize(
@@ -351,11 +381,15 @@ def fit_npmle(
     InfeasibleRecordError
         If some record has zero weight at every grid point.
     NonConvergenceError
-        If no certificate is reached within ``config.max_outer`` iterations.
+        If no certificate is reached within ``config.max_outer`` iterations,
+        or the quadratic subproblem does not settle.
+    RankDeficiencyError
+        If the quadratic subproblem meets a singular normal matrix that no
+        duplicated weight column explains.
     """
     config = config or SolverConfig()
     weights = build_weight_matrix(data, grid)
-    init_index = _initial_support_index(data, grid, config)
+    init_index = _initial_support_index(weights, config)
     masses, trace = _minimize(weights, init_index, config)
     positive = masses > 0.0
     fitted = MassFunction(support=grid.points[positive], probs=masses[positive])

@@ -4,6 +4,11 @@ Each observation contributes a likelihood term that is linear in the masses:
 ``sum_j p_j * w_i(j)``.  In single mode the weight is an indicator of the
 onset interval; in double mode it is the piecewise-linear kernel obtained by
 integrating the day CDF over the onset window.
+
+Identical records contribute identical terms, so the weights are stored once
+per distinct record (a pattern) together with how many records share it.
+Every likelihood sum is then a count-weighted sum over patterns, and its cost
+scales with the number of distinct records rather than with n.
 """
 
 from __future__ import annotations
@@ -65,49 +70,131 @@ def window_weight(e, s_l, s_r, t):
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """Per-observation weights over the grid, stored as a dense array.
+    """Per-pattern weights over the grid, with pattern counts.
+
+    ``dense`` has one row per distinct record (pattern) and one column per
+    grid point; ``counts`` says how many records share each row, and
+    ``record_rows`` maps every record to its row.  A matrix built by hand
+    from per-record rows needs neither: counts default to ones and the
+    record map lists the records row by row.  ``centers`` holds each row's
+    onset centre (s, or (s_l + s_r) / 2), which places the default starting
+    support.
 
     Rows touch only a handful of grid points, but at these sizes dense
     vectorized products beat sparse row iteration, so the dense block is the
     working representation; ``row_indices``/``row_weights`` give the sparse
-    row view.
+    view of one record's row.
     """
 
     dense: np.ndarray
     grid: Grid
+    counts: np.ndarray | None = None
+    record_rows: np.ndarray | None = None
+    centers: np.ndarray | None = None
+
+    def __post_init__(self):
+        rows = self.dense.shape[0]
+        counts = np.ones(rows) if self.counts is None else np.asarray(self.counts, float)
+        if counts.shape != (rows,) or np.any(counts <= 0.0):
+            raise ValueError("counts must be positive, one per row")
+        if self.record_rows is None:
+            record_rows = np.repeat(np.arange(rows), counts.astype(np.intp))
+        else:
+            record_rows = np.asarray(self.record_rows)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "record_rows", record_rows)
 
     @property
     def n(self) -> int:
-        return int(self.dense.shape[0])
+        """Number of records, the total count."""
+        return int(self.record_rows.size)
 
     @property
     def m(self) -> int:
         return int(self.dense.shape[1])
 
+    @property
+    def root_counts(self) -> np.ndarray:
+        """sqrt(counts): rows scaled by it turn count-weighted sums of
+        products into plain matrix products."""
+        return np.sqrt(self.counts)
+
+    def record_of(self, row: int) -> int:
+        """The first record whose pattern is the given row."""
+        return int(np.flatnonzero(self.record_rows == row)[0])
+
     def row_indices(self, i: int) -> np.ndarray:
-        return np.flatnonzero(self.dense[i])
+        """Grid columns with positive weight for record i."""
+        return np.flatnonzero(self.dense[self.record_rows[i]])
 
     def row_weights(self, i: int) -> np.ndarray:
-        return self.dense[i, self.row_indices(i)]
+        return self.dense[self.record_rows[i], self.row_indices(i)]
 
     def likelihood_terms(self, masses: np.ndarray) -> np.ndarray:
-        """sum_j p_j w_i(j) for every observation."""
+        """sum_j p_j w_i(j) for every pattern."""
         return self.dense @ masses
+
+    def take(self, indices) -> "WeightMatrix":
+        """The weight matrix of the records ``data.take(indices)``.
+
+        The records' counts over the patterns keep the rows that occur, in
+        the same order, so the result equals ``build_weight_matrix`` of the
+        subset bit for bit without evaluating a single weight.
+        """
+        drawn = self.record_rows[np.asarray(indices)]
+        counts = np.bincount(drawn, minlength=self.dense.shape[0])
+        keep = counts > 0
+        new_row = np.cumsum(keep) - 1
+        return WeightMatrix(
+            dense=self.dense[keep],
+            grid=self.grid,
+            counts=counts[keep],
+            record_rows=new_row[drawn],
+            centers=None if self.centers is None else self.centers[keep],
+        )
+
+
+def _group_records(columns):
+    """Distinct rows of the stacked columns, in sorted ``np.unique(axis=0)`` order.
+
+    Returns (first record of each pattern, record -> pattern map, counts).
+    """
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for col in columns:
+        ranked = col[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    starts = np.flatnonzero(new)
+    record_rows = np.empty(order.size, dtype=np.intp)
+    record_rows[order] = np.cumsum(new) - 1
+    counts = np.diff(np.append(starts, order.size))
+    return order[starts], record_rows, counts
 
 
 def build_weight_matrix(data: Dataset, grid: Grid) -> WeightMatrix:
-    """Evaluate all weights on the grid; every row must hit a positive weight."""
+    """Evaluate the weights of every distinct record on the grid.
+
+    Every record must hit a positive weight; otherwise the first offending
+    record is reported.
+    """
+    if data.mode == SINGLE:
+        columns = (data.e, data.s)
+    else:
+        columns = (data.e, data.s_l, data.s_r)
+    first, record_rows, counts = _group_records(columns)
     pts = grid.points[None, :]
     if data.mode == SINGLE:
-        lo = (data.s - data.e)[:, None]
-        hi = data.s[:, None]
-        dense = ((pts > lo) & (pts <= hi)).astype(float)
+        s = data.s[first]
+        dense = ((pts > (s - data.e[first])[:, None]) & (pts <= s[:, None])).astype(float)
+        centers = s.astype(float)
     else:
-        dense = window_weight(
-            data.e[:, None], data.s_l[:, None], data.s_r[:, None], pts
-        )
-    feasible = (dense > 0.0).any(axis=1)
-    if not feasible.all():
-        idx = int(np.flatnonzero(~feasible)[0])
-        raise InfeasibleRecordError(idx)
-    return WeightMatrix(dense=dense, grid=grid)
+        e, s_l, s_r = (col[first] for col in columns)
+        dense = window_weight(e[:, None], s_l[:, None], s_r[:, None], pts)
+        centers = (s_l + s_r) / 2.0
+    infeasible = ~(dense > 0.0).any(axis=1)
+    if infeasible.any():
+        raise InfeasibleRecordError(int(first[infeasible].min()))
+    return WeightMatrix(
+        dense=dense, grid=grid, counts=counts, record_rows=record_rows, centers=centers
+    )

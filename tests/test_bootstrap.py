@@ -100,6 +100,20 @@ def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
     assert err.value.failed == 20
 
 
+def test_bootstrap_counts_inner_loop_failures(monkeypatch):
+    import incutime.solver as solver_module
+
+    from test_solver import AddThenRefuseModel
+
+    data = draw_singly(100, TRUNCEXP, ExposureSpec(m2=15), seed=87)
+    grid = candidate_grid(data, m1=15)
+    mass, _ = fit_npmle(data, grid)
+    monkeypatch.setattr(solver_module, "_QuadraticModel", AddThenRefuseModel)
+    with pytest.raises(BootstrapFailureError) as err:
+        bootstrap_ci(data, grid, BootstrapConfig(b=10, seed=0), mass=mass)
+    assert err.value.failed == 10
+
+
 def test_bootstrap_rejects_points_outside_horizon():
     data = draw_singly(50, TRUNCEXP, ExposureSpec(m2=15), seed=86)
     grid = candidate_grid(data, m1=15)

@@ -1,8 +1,16 @@
 import csv
 
+import numpy as np
 import pytest
 
-from incutime import Dataset, DatasetValidationError, validate_dataset
+from incutime import (
+    Dataset,
+    DatasetValidationError,
+    build_weight_matrix,
+    candidate_grid,
+    fenchel_residuals,
+    validate_dataset,
+)
 from incutime.cli import main, parse_points, read_dataset_csv, write_dataset_csv
 from incutime.simulate import ExposureSpec, TruthSpec, draw_singly
 
@@ -151,6 +159,36 @@ def test_exit_code_non_convergence(tmp_path):
          "--max-outer", "1", "--out", out]
     )
     assert code == 2
+
+
+def test_exit_code_inner_loop_failure(tmp_path, monkeypatch):
+    import incutime.solver as solver_module
+
+    from test_solver import AddThenRefuseModel
+
+    data_path = str(tmp_path / "d.csv")
+    main(["simulate", "--mode", "single", "--n", "100", "--seed", "5",
+          "--out", data_path])
+    monkeypatch.setattr(solver_module, "_QuadraticModel", AddThenRefuseModel)
+    code = main(["fit", "--mode", "single", "--data", data_path, "--m1", "15",
+                 "--out", str(tmp_path / "fit.csv")])
+    assert code == 2
+
+
+def test_fit_starts_on_a_day_some_record_can_explain(tmp_path):
+    # the median onset centre is 2.5, and day 2 carries no weight for either
+    # record; starting the support there made the normal matrix singular
+    path = tmp_path / "d.csv"
+    path.write_text("e,sl,sr\n3,0,1\n1,3,6\n")
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--mode", "double", "--data", str(path), "--out", str(out)])
+    assert code == 0
+    data = read_dataset_csv(str(path), "double")
+    grid = candidate_grid(data)
+    masses = np.array([float(row[1]) for row in _read_rows(out)[1:]])
+    min_grad, comp = fenchel_residuals(masses, build_weight_matrix(data, grid))
+    assert min_grad >= -1e-10
+    assert comp <= 1e-10
 
 
 def test_exit_code_invalid_input(tmp_path):

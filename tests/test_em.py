@@ -13,11 +13,9 @@ def split_row_weights():
 
 
 def two_block_weights():
-    data = validate_dataset(Dataset.singly([1, 1, 1, 1], [1, 1, 1, 2]))
-    grid = Grid(points=[1, 2])
-    dense = build_weight_matrix(data, grid).dense.copy()
-    dense[3] = [0.0, 1.0]
-    return WeightMatrix(dense=dense, grid=grid)
+    # three records supported on day 1 only, one on day 2 only, one row each
+    dense = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return WeightMatrix(dense=dense, grid=Grid(points=[1, 2]))
 
 
 def test_em_step_absorbs_uncovered_mass_in_one_step():

@@ -19,6 +19,8 @@ from incutime.simulate import (
     draw_singly,
 )
 from incutime.solver import (
+    _inner_loop,
+    _QuadraticModel,
     armijo_search,
     fenchel_residuals,
     inner_support_loop,
@@ -43,11 +45,8 @@ def split_row_weights():
 def two_block_weights():
     # three records supported on day 1 only, one on day 2 only; the maximum
     # likelihood masses are the multinomial proportions (0.75, 0.25)
-    data = validate_dataset(Dataset.singly([1, 1, 1, 1], [1, 1, 1, 2]))
-    grid = Grid(points=[1, 2])
-    dense = build_weight_matrix(data, grid).dense.copy()
-    dense[3] = [0.0, 1.0]  # restrict the fourth record to day 2 alone
-    return WeightMatrix(dense=dense, grid=grid)
+    dense = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return WeightMatrix(dense=dense, grid=Grid(points=[1, 2]))
 
 
 def test_phi_at_point_mass():
@@ -115,6 +114,26 @@ def test_outer_iterations_converge_to_multinomial_proportions():
     masses, trace = _minimize(W, 0, config)
     assert trace.converged
     assert np.allclose(masses, [0.75, 0.25], atol=1e-9)
+
+
+class AddThenRefuseModel(_QuadraticModel):
+    """Invites grid point 0 into the support, then gives it negative mass,
+    which the active-set exchange rules out in exact arithmetic."""
+
+    def solve(self, support):
+        return np.where(np.asarray(support) == 0, -1.0, 1.0)
+
+    def gradient(self, support, masses):
+        grad = np.zeros(self.b.size)
+        grad[0] = -1.0
+        return grad
+
+
+def test_inner_loop_refusing_the_added_point_is_a_typed_error():
+    W = two_block_weights()
+    model = AddThenRefuseModel(W, np.array([0.5, 0.5]))
+    with pytest.raises(NonConvergenceError, match="just added"):
+        _inner_loop(model, [1], W.m, 1e-12)
 
 
 def test_armijo_zero_direction_returns_start():
