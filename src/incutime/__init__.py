@@ -29,8 +29,7 @@ from .inference import (
     cdf_covariance,
     extend_variances,
     fisher_result,
-    observed_fisher_doubly,
-    observed_fisher_singly,
+    observed_fisher,
     wald_intervals,
 )
 from .model import (
@@ -66,6 +65,7 @@ from .solver import (
     SolverConfig,
     fenchel_residuals,
     fit_npmle,
+    fit_weights,
     phi,
     phi_gradient,
 )
@@ -121,9 +121,9 @@ __all__ = [
     "fisher_result",
     "fit_npmle",
     "fit_trunc_exp",
+    "fit_weights",
     "indicator_weight",
-    "observed_fisher_doubly",
-    "observed_fisher_singly",
+    "observed_fisher",
     "phi",
     "phi_gradient",
     "psi_weight",

@@ -8,9 +8,10 @@ F*_b(t) - F_hat(t): the level-alpha interval at day t is
 
 A resample is a multinomial reweighting of the records (Efron & Tibshirani,
 1993), so a replicate never materializes a dataset: its drawn record indices
-are reduced to counts over the distinct-record rows of the weight matrix,
-and the refit runs on the rows that occur.  ``refit_replicates`` is the one
-replicate engine behind both the bootstrap and Fisher averaging.
+are reduced to counts over the distinct-record rows of the fit's weight
+matrix, and the refit runs on the rows that occur.  ``refit_replicates`` is
+the one replicate engine behind both the bootstrap and Fisher averaging, and
+``check_replicate_failures`` their one failure policy.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .errors import (
     RankDeficiencyError,
 )
 from .inference import IntervalRow, IntervalTable
-from .model import Dataset, Grid, cdf_from_mass
-from .solver import SolverConfig, _initial_support_index, _minimize, fit_npmle
-from .weights import WeightMatrix, build_weight_matrix
+from .model import Dataset, cdf_from_mass
+from .solver import SolverConfig, _initial_support_index, _minimize, fit_weights
+from .weights import WeightMatrix
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ def _refit_rows(
 ) -> tuple[WeightMatrix, np.ndarray]:
     """Refit on the records idx; returns their weight matrix and the masses.
 
-    ``init_index`` None starts where ``fit_npmle`` would start on the drawn
-    records, so the refit equals ``fit_npmle(data.take(idx))``.
+    ``init_index`` None starts where ``fit_weights`` would start on the
+    drawn records, so the refit equals ``fit_weights(W.take(idx))``.
     """
     sub = W.take(idx)
     if init_index is None:
@@ -105,9 +106,19 @@ def refit_replicates(
         yield result
 
 
+def check_replicate_failures(failed: int, total: int, what: str) -> None:
+    """Raise BootstrapFailureError when more than 10 percent of replicates failed.
+
+    ``what`` completes the message "<failed> of <total> ...".
+    """
+    if failed > 0.1 * total:
+        raise BootstrapFailureError(
+            f"{failed} of {total} {what}", failed=failed, total=total
+        )
+
+
 def bootstrap_ci(
-    data: Dataset,
-    grid: Grid,
+    weights: WeightMatrix,
     config: BootstrapConfig,
     solver_config: SolverConfig | None = None,
     level: float = 0.95,
@@ -115,15 +126,17 @@ def bootstrap_ci(
 ) -> IntervalTable:
     """Percentile bootstrap intervals at the requested days.
 
-    The point estimate is refitted from the data when ``mass`` is omitted.
-    Raises BootstrapFailureError when more than 10 percent of replicates fail
-    to refit; failures below that threshold are dropped from the quantiles.
+    ``weights`` is the fit's matrix; the point estimate is refitted from it
+    when ``mass`` is omitted.  Raises BootstrapFailureError when more than 10
+    percent of replicates fail to refit; failures below that threshold are
+    dropped from the quantiles.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     solver_config = solver_config or SolverConfig()
+    grid = weights.grid
     if mass is None:
-        mass, _ = fit_npmle(data, grid, solver_config)
+        mass, _ = fit_weights(weights, solver_config)
     fhat = cdf_from_mass(mass, grid)
     m1 = grid.m1 if grid.m1 is not None else int(grid.points[-1])
     points = config.points if config.points is not None else range(1, m1 + 1)
@@ -132,7 +145,6 @@ def bootstrap_ci(
         if day < 1 or day > m1:
             raise ValueError(f"evaluation day {day} outside 1..{m1}")
 
-    W = build_weight_matrix(data, grid)
     init_index = int(np.argmax(mass.as_vector(grid)))
     estimates = np.array([fhat.value(d) for d in points])
     # grid point j covers days grid.points[j] ..; value at day d is the
@@ -141,7 +153,10 @@ def bootstrap_ci(
     deltas = np.empty((config.b, len(points)))
     failed = 0
     kept = 0
-    for result in refit_replicates(W, config.seed, config.b, solver_config, init_index):
+    replicates = refit_replicates(
+        weights, config.seed, config.b, solver_config, init_index
+    )
+    for result in replicates:
         if result is None:
             failed += 1
             continue
@@ -150,17 +165,12 @@ def bootstrap_ci(
         rep_values = np.where(below > 0, rep_cdf[np.maximum(below - 1, 0)], 0.0)
         deltas[kept] = rep_values - estimates
         kept += 1
-    if failed > 0.1 * config.b:
-        raise BootstrapFailureError(
-            f"{failed} of {config.b} bootstrap replicates failed to refit",
-            failed=failed,
-            total=config.b,
-        )
+    check_replicate_failures(failed, config.b, "bootstrap replicates failed to refit")
     deltas = deltas[:kept]
     alpha = 1.0 - level
     lo_q = np.quantile(deltas, alpha / 2.0, axis=0)
     hi_q = np.quantile(deltas, 1.0 - alpha / 2.0, axis=0)
-    variances = data.n * np.var(deltas, axis=0, ddof=1)
+    variances = weights.n * np.var(deltas, axis=0, ddof=1)
     rows = []
     for j, day in enumerate(points):
         rows.append(
@@ -178,7 +188,7 @@ def bootstrap_ci(
     return IntervalTable(
         rows=rows,
         metadata={
-            "n": data.n,
+            "n": weights.n,
             "level": level,
             "replicates": config.b,
             "failed": failed,

@@ -45,7 +45,8 @@ from .simulate import (
     draw_singly,
     true_fbar,
 )
-from .solver import SolverConfig, fit_npmle
+from .solver import SolverConfig, fit_weights
+from .weights import build_weight_matrix
 
 _FIT_FAILURES = (
     NonConvergenceError,
@@ -153,8 +154,9 @@ def cmd_fit(args) -> int:
     config = SolverConfig(
         tol=args.tol, max_outer=args.max_outer, init_point=args.init_point
     )
+    weights = build_weight_matrix(data, grid)
     try:
-        mass, trace = fit_npmle(data, grid, config)
+        mass, trace = fit_weights(weights, config)
     except NonConvergenceError as exc:
         if args.trace_out and exc.trace is not None:
             exc.trace.write(args.trace_out)
@@ -179,21 +181,20 @@ def _check_interval_args(args) -> None:
         raise ValueError(f"wald intervals support levels {sorted(Z_QUANTILES)}")
 
 
-def _interval_table(data, grid, mass, args, horizon, points, solver_config):
+def _interval_table(weights, mass, args, horizon, points, solver_config):
     if args.method == "wald":
         result = fisher_result(
-            data,
-            grid,
+            weights,
             mass,
             m1=horizon,
             averaging=args.b if args.fisher_averaged else None,
             solver_config=solver_config,
             seed=args.seed,
         )
-        fhat = cdf_from_mass(mass, grid)
-        return wald_intervals(fhat, result.variances, data.n, points, args.level)
+        fhat = cdf_from_mass(mass, weights.grid)
+        return wald_intervals(fhat, result.variances, weights.n, points, args.level)
     config = BootstrapConfig(b=args.b, seed=args.seed, points=tuple(points))
-    return bootstrap_ci(data, grid, config, solver_config, args.level, mass=mass)
+    return bootstrap_ci(weights, config, solver_config, args.level, mass=mass)
 
 
 def cmd_ci(args) -> int:
@@ -203,8 +204,9 @@ def cmd_ci(args) -> int:
     horizon = args.m1 if args.m1 is not None else int(grid.points[-1])
     points = args.points if args.points is not None else list(range(1, horizon + 1))
     solver_config = SolverConfig(init_point=args.init_point)
-    mass, _ = fit_npmle(data, grid, solver_config)
-    table = _interval_table(data, grid, mass, args, horizon, points, solver_config)
+    weights = build_weight_matrix(data, grid)
+    mass, _ = fit_weights(weights, solver_config)
+    table = _interval_table(weights, mass, args, horizon, points, solver_config)
     table.to_csv(args.out)
     return 0
 
@@ -225,9 +227,10 @@ def cmd_coverage(args) -> int:
             data = draw(args.n, truth, exposure, [args.seed, rep])
             grid = candidate_grid(data, truth.m1)
             solver_config = SolverConfig()
-            mass, _ = fit_npmle(data, grid, solver_config)
+            weights = build_weight_matrix(data, grid)
+            mass, _ = fit_weights(weights, solver_config)
             table = _interval_table(
-                data, grid, mass, args, truth.m1, points, solver_config
+                weights, mass, args, truth.m1, points, solver_config
             )
         except _FIT_FAILURES:
             failures += 1

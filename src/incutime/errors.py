@@ -73,7 +73,7 @@ class DegenerateFitError(IncutimeError):
 
 
 class BootstrapFailureError(IncutimeError):
-    """Raised when too many bootstrap replicates fail to produce an estimate."""
+    """Raised when too many bootstrap or Fisher averaging replicates fail."""
 
     def __init__(self, message: str, failed: int = 0, total: int = 0):
         super().__init__(message)

@@ -6,6 +6,11 @@ The observed information matrix is inverted and mapped through partial sums
 to a covariance for the day CDF values at the mass points; step-function
 extension then yields a variance for every day up to m1, and Wald intervals
 follow after dividing by the sample size.
+
+Everything here consumes the fit's ``WeightMatrix``: the information matrix
+is a count-weighted sum over its rows, so the likelihood terms behind the
+intervals are the very ones the solver maximised, and Fisher averaging
+resamples the same matrix.
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateFitError, InfeasibleRecordError, SingularMatrixError
+from .errors import DegenerateFitError, SingularMatrixError
 from .linalg import spd_invert
-from .model import SINGLE, Dataset, DayCdf, Grid, MassFunction, cdf_from_mass
+from .model import DayCdf, MassFunction, cdf_from_mass
 from .solver import SolverConfig
-from .weights import WeightMatrix, build_weight_matrix
+from .weights import WeightMatrix
 
 Z_QUANTILES = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
 
@@ -86,15 +91,16 @@ def _masses_from_cdf(fhat: DayCdf) -> np.ndarray:
     return np.diff(fhat.values, prepend=0.0)
 
 
-def _information(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
+def observed_fisher(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
     """Count-weighted observed information from weight-matrix columns.
 
     f_jk = (1/n) sum_i c_i (w_i(j) - w_i(m)) (w_i(k) - w_i(m)) / d_i^2
 
     over the distinct records i with counts c_i, where j and k run over the
     first l - 1 mass points, m is the last one, w_i is the record's weight
-    row (interval indicator or window kernel) and d_i = sum_t w_i(t) p_t its
-    fitted probability under the masses of ``fhat``.
+    row (interval indicator in single mode, window kernel in double mode)
+    and d_i = sum_t w_i(t) p_t its fitted probability under the masses of
+    ``fhat``, which must cover every grid day.
     """
     support = np.asarray(support, dtype=int)
     if support.size < 2:
@@ -117,44 +123,8 @@ def _information(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
     return 0.5 * (fisher + fisher.T)
 
 
-def _day_weights(data: Dataset, fhat: DayCdf) -> WeightMatrix:
-    """Weights of the records over days 1..fhat.last_day."""
-    try:
-        return build_weight_matrix(data, Grid(points=np.arange(1, fhat.last_day + 1)))
-    except InfeasibleRecordError as exc:
-        raise DegenerateFitError(
-            f"record {exc.record_index} has zero fitted probability"
-        ) from None
-
-
-def observed_fisher_singly(
-    data: Dataset, fhat: DayCdf, support: np.ndarray
-) -> np.ndarray:
-    """Observed information for single mode data.
-
-    f_jk = (1/n) sum_i (1_i(j) - 1_i(m)) (1_i(k) - 1_i(m)) / denom_i^2,
-    where 1_i(t) indicates t in (s_i - e_i, s_i], m is the last mass point
-    and denom_i the fitted probability of record i.
-    """
-    return _information(_day_weights(data, fhat), fhat, support)
-
-
-def observed_fisher_doubly(
-    data: Dataset, fhat: DayCdf, support: np.ndarray
-) -> np.ndarray:
-    """Observed information for double mode data.
-
-    Same structure as the single mode matrix with the window kernel in place
-    of the interval indicator: each record contributes the outer product of
-    psi(., t) - psi(., m) over the first l - 1 mass points, scaled by the
-    squared fitted window probability.
-    """
-    return _information(_day_weights(data, fhat), fhat, support)
-
-
 def averaged_inverse_information(
-    data: Dataset,
-    grid: Grid,
+    weights: WeightMatrix,
     solver_config: SolverConfig,
     support: np.ndarray,
     b: int,
@@ -169,20 +139,21 @@ def averaged_inverse_information(
     and that inflation is what widens the intervals relative to the
     single-sample matrix (averaging the matrices reproduces the single-sample
     variances almost exactly and gains nothing).  Replicates whose refit
-    fails, degenerates, or yields a singular matrix are skipped and counted.
-    Averaging over b = 1 reproduces the inverse of the plain matrix of that
-    single resample.
+    fails, degenerates, or yields a singular matrix are skipped and counted;
+    more than 10 percent of them skipped raises BootstrapFailureError, the
+    bootstrap's policy.  Averaging over b = 1 reproduces the inverse of the
+    plain matrix of that single resample.
 
     Replicates come from the bootstrap's replicate engine: each one reweights
-    the rows of one weight matrix and starts its refit where ``fit_npmle``
-    would start on the drawn records, so no dataset is copied and no weight
-    is evaluated twice.
+    the rows of the fit's weight matrix and starts its refit where
+    ``fit_weights`` would start on the drawn records, so no dataset is
+    copied and no weight is evaluated twice.
     """
-    from .bootstrap import refit_replicates
+    from .bootstrap import check_replicate_failures, refit_replicates
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
-    weights = build_weight_matrix(data, grid)
+    grid = weights.grid
     total = None
     used = 0
     skipped = 0
@@ -194,14 +165,14 @@ def averaged_inverse_information(
         positive = masses > 0.0
         mass = MassFunction(support=grid.points[positive], probs=masses[positive])
         try:
-            inverse = spd_invert(_information(sub, cdf_from_mass(mass, grid), support))
+            fisher = observed_fisher(sub, cdf_from_mass(mass, grid), support)
+            inverse = spd_invert(fisher)
         except (DegenerateFitError, SingularMatrixError):
             skipped += 1
             continue
         total = inverse if total is None else total + inverse
         used += 1
-    if total is None:
-        raise DegenerateFitError("every averaging replicate failed to refit")
+    check_replicate_failures(skipped, b, "Fisher averaging replicates were skipped")
     return total / used, skipped
 
 
@@ -219,12 +190,15 @@ def _invert_information(fisher: np.ndarray) -> tuple[np.ndarray, bool]:
         return np.linalg.pinv(fisher), True
 
 
-def cdf_covariance(fisher: np.ndarray) -> np.ndarray:
-    """Covariance of the day CDF at the mass points: A F^{-1} A' with A the
-    lower-triangular all-ones partial sum matrix."""
-    inverse, _ = _invert_information(fisher)
+def _partial_sum_covariance(inverse: np.ndarray) -> np.ndarray:
+    """A F^{-1} A' with A the lower-triangular all-ones partial sum matrix."""
     ones = np.tril(np.ones_like(inverse))
     return ones @ inverse @ ones.T
+
+
+def cdf_covariance(fisher: np.ndarray) -> np.ndarray:
+    """Covariance of the day CDF at the mass points from the information."""
+    return _partial_sum_covariance(_invert_information(fisher)[0])
 
 
 def extend_variances(
@@ -291,36 +265,35 @@ def wald_intervals(
 
 
 def fisher_result(
-    data: Dataset,
-    grid: Grid,
+    weights: WeightMatrix,
     mass: MassFunction,
     m1: int,
     averaging: int | None = None,
     solver_config: SolverConfig | None = None,
     seed=0,
 ) -> FisherResult:
-    """Full pipeline from a fitted mass function to per-day variances."""
+    """Full pipeline from a fitted mass function to per-day variances.
+
+    ``weights`` is the matrix the masses were fitted on.  With ``averaging``
+    the inverse information is averaged over that many resampled refits.
+    """
     support = mass.support
     if support.size < 2:
         raise DegenerateFitError(
             "variance estimation needs at least 2 fitted mass points"
         )
-    fhat = cdf_from_mass(mass, grid)
     skipped = 0
-    if data.mode == SINGLE:
-        fisher = observed_fisher_singly(data, fhat, support)
-        inverse, used_pinv = _invert_information(fisher)
-    elif averaging is None:
-        fisher = observed_fisher_doubly(data, fhat, support)
+    if averaging is None:
+        fhat = cdf_from_mass(mass, weights.grid)
+        fisher = observed_fisher(weights, fhat, support)
         inverse, used_pinv = _invert_information(fisher)
     else:
         inverse, skipped = averaged_inverse_information(
-            data, grid, solver_config or SolverConfig(), support, averaging, seed
+            weights, solver_config or SolverConfig(), support, averaging, seed
         )
         # the information implied by the averaged inverse, for reporting
         fisher, used_pinv = _invert_information(inverse)
-    ones = np.tril(np.ones_like(inverse))
-    cov = ones @ inverse @ ones.T
+    cov = _partial_sum_covariance(inverse)
     variances = extend_variances(cov, support, m1)
     return FisherResult(
         support=support,

@@ -355,20 +355,15 @@ def _minimize(
     return current, trace
 
 
-def fit_npmle(
-    data: Dataset, grid: Grid, config: SolverConfig | None = None
+def fit_weights(
+    weights: WeightMatrix, config: SolverConfig | None = None
 ) -> tuple[MassFunction, IterationTrace]:
-    """Maximum likelihood masses for a validated dataset on a grid.
+    """Maximum likelihood masses for the records behind a weight matrix.
 
-    Parameters
-    ----------
-    data : Dataset
-        Validated observations (see ``validate_dataset``).
-    grid : Grid
-        Candidate mass point days; every record must put positive weight on
-        at least one grid point.
-    config : SolverConfig, optional
-        Solver tolerances; the defaults certify optimality at 1e-10.
+    The matrix is the one likelihood representation of a fit: the Wald
+    information, Fisher averaging and the bootstrap take the same matrix.
+    ``config`` holds the solver tolerances; the defaults certify optimality
+    at 1e-10.
 
     Returns
     -------
@@ -378,8 +373,6 @@ def fit_npmle(
 
     Raises
     ------
-    InfeasibleRecordError
-        If some record has zero weight at every grid point.
     NonConvergenceError
         If no certificate is reached within ``config.max_outer`` iterations,
         or the quadratic subproblem does not settle.
@@ -388,9 +381,20 @@ def fit_npmle(
         duplicated weight column explains.
     """
     config = config or SolverConfig()
-    weights = build_weight_matrix(data, grid)
     init_index = _initial_support_index(weights, config)
     masses, trace = _minimize(weights, init_index, config)
     positive = masses > 0.0
-    fitted = MassFunction(support=grid.points[positive], probs=masses[positive])
+    fitted = MassFunction(support=weights.grid.points[positive], probs=masses[positive])
     return fitted, trace
+
+
+def fit_npmle(
+    data: Dataset, grid: Grid, config: SolverConfig | None = None
+) -> tuple[MassFunction, IterationTrace]:
+    """Maximum likelihood masses for a validated dataset on a grid.
+
+    ``fit_weights`` of ``build_weight_matrix(data, grid)``; raises
+    InfeasibleRecordError if some record has zero weight at every grid
+    point, and otherwise what ``fit_weights`` raises.
+    """
+    return fit_weights(build_weight_matrix(data, grid), config)

@@ -82,8 +82,7 @@ class WeightMatrix:
 
     Rows touch only a handful of grid points, but at these sizes dense
     vectorized products beat sparse row iteration, so the dense block is the
-    working representation; ``row_indices``/``row_weights`` give the sparse
-    view of one record's row.
+    working representation.
     """
 
     dense: np.ndarray
@@ -122,17 +121,6 @@ class WeightMatrix:
     def record_of(self, row: int) -> int:
         """The first record whose pattern is the given row."""
         return int(np.flatnonzero(self.record_rows == row)[0])
-
-    def row_indices(self, i: int) -> np.ndarray:
-        """Grid columns with positive weight for record i."""
-        return np.flatnonzero(self.dense[self.record_rows[i]])
-
-    def row_weights(self, i: int) -> np.ndarray:
-        return self.dense[self.record_rows[i], self.row_indices(i)]
-
-    def likelihood_terms(self, masses: np.ndarray) -> np.ndarray:
-        """sum_j p_j w_i(j) for every pattern."""
-        return self.dense @ masses
 
     def take(self, indices) -> "WeightMatrix":
         """The weight matrix of the records ``data.take(indices)``.

@@ -265,7 +265,9 @@ def wald_study():
             grid = candidate_grid(data, 15)
             try:
                 mass, _ = fit_npmle(data, grid)
-                result = fisher_result(data, grid, mass, m1=15)
+                result = fisher_result(
+                    build_weight_matrix(data, grid), mass, m1=15
+                )
             except DegenerateFitError:
                 continue
             break
@@ -309,8 +311,7 @@ def test_criterion_08_bootstrap_coverage_single():
             grid = candidate_grid(data, 15)
             try:
                 table = bootstrap_ci(
-                    data,
-                    grid,
+                    build_weight_matrix(data, grid),
                     BootstrapConfig(b=b, seed=[282, rep], points=DAYS),
                 )
             except (BootstrapFailureError, DegenerateFitError):
@@ -359,7 +360,8 @@ def test_criterion_10_averaged_wald_coverage_double():
             try:
                 mass, _ = fit_npmle(data, grid)
                 result = fisher_result(
-                    data, grid, mass, m1=15, averaging=averaging,
+                    build_weight_matrix(data, grid), mass, m1=15,
+                    averaging=averaging,
                     seed=[292, rep],
                 )
             except DegenerateFitError:

@@ -7,6 +7,7 @@ from incutime import (
     Dataset,
     NonConvergenceError,
     bootstrap_ci,
+    build_weight_matrix,
     candidate_grid,
     fit_npmle,
     validate_dataset,
@@ -49,7 +50,7 @@ def test_bootstrap_config_rejects_tiny_replicate_count():
 def test_bootstrap_degenerate_single_record_dataset():
     data = validate_dataset(Dataset.singly([1], [1]))
     grid = candidate_grid(data)
-    table = bootstrap_ci(data, grid, BootstrapConfig(b=20, seed=0))
+    table = bootstrap_ci(build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0))
     row = table.rows[0]
     assert row.day == 1
     assert row.lower == row.upper == row.estimate == 1.0
@@ -60,7 +61,8 @@ def test_bootstrap_interval_contains_estimate():
     data = draw_singly(300, TRUNCEXP, ExposureSpec(m2=15), seed=82)
     grid = candidate_grid(data, m1=15)
     table = bootstrap_ci(
-        data, grid, BootstrapConfig(b=200, seed=1, points=(4, 6, 8))
+        build_weight_matrix(data, grid),
+        BootstrapConfig(b=200, seed=1, points=(4, 6, 8)),
     )
     for row in table.rows:
         assert row.lower <= row.estimate <= row.upper
@@ -71,8 +73,9 @@ def test_bootstrap_is_deterministic():
     data = draw_singly(200, TRUNCEXP, ExposureSpec(m2=15), seed=83)
     grid = candidate_grid(data, m1=15)
     config = BootstrapConfig(b=60, seed=9, points=(5, 7))
-    a = bootstrap_ci(data, grid, config)
-    b = bootstrap_ci(data, grid, config)
+    weights = build_weight_matrix(data, grid)
+    a = bootstrap_ci(weights, config)
+    b = bootstrap_ci(weights, config)
     assert a.rows == b.rows
 
 
@@ -81,9 +84,8 @@ def test_bootstrap_internal_fit_matches_supplied_mass():
     grid = candidate_grid(data, m1=15)
     mass, _ = fit_npmle(data, grid)
     config = BootstrapConfig(b=40, seed=2, points=(6,))
-    assert bootstrap_ci(data, grid, config) == bootstrap_ci(
-        data, grid, config, mass=mass
-    )
+    weights = build_weight_matrix(data, grid)
+    assert bootstrap_ci(weights, config) == bootstrap_ci(weights, config, mass=mass)
 
 
 def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
@@ -96,7 +98,7 @@ def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
     data = draw_singly(100, TRUNCEXP, ExposureSpec(m2=15), seed=85)
     grid = candidate_grid(data, m1=15)
     with pytest.raises(BootstrapFailureError) as err:
-        bootstrap_ci(data, grid, BootstrapConfig(b=20, seed=0))
+        bootstrap_ci(build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0))
     assert err.value.failed == 20
 
 
@@ -110,7 +112,9 @@ def test_bootstrap_counts_inner_loop_failures(monkeypatch):
     mass, _ = fit_npmle(data, grid)
     monkeypatch.setattr(solver_module, "_QuadraticModel", AddThenRefuseModel)
     with pytest.raises(BootstrapFailureError) as err:
-        bootstrap_ci(data, grid, BootstrapConfig(b=10, seed=0), mass=mass)
+        bootstrap_ci(
+            build_weight_matrix(data, grid), BootstrapConfig(b=10, seed=0), mass=mass
+        )
     assert err.value.failed == 10
 
 
@@ -118,4 +122,6 @@ def test_bootstrap_rejects_points_outside_horizon():
     data = draw_singly(50, TRUNCEXP, ExposureSpec(m2=15), seed=86)
     grid = candidate_grid(data, m1=15)
     with pytest.raises(ValueError):
-        bootstrap_ci(data, grid, BootstrapConfig(b=10, seed=0, points=(16,)))
+        bootstrap_ci(
+            build_weight_matrix(data, grid), BootstrapConfig(b=10, seed=0, points=(16,))
+        )

@@ -251,3 +251,69 @@ def test_coverage_smoke(tmp_path):
         assert float(r[1]) in (0.0, 1.0)
         assert float(r[2]) > 0
         assert r[3] == "0"
+
+
+def test_exit_code_fisher_averaging_failures(tmp_path, monkeypatch):
+    import incutime.bootstrap as bootstrap_module
+
+    from incutime import NonConvergenceError
+
+    refit_rows = bootstrap_module._refit_rows
+    calls = []
+
+    def first_three_stall(W, idx, config, init_index):
+        # 3 of 20 is above the 10 percent the bootstrap also tolerates
+        calls.append(idx)
+        if len(calls) <= 3:
+            raise NonConvergenceError("forced failure")
+        return refit_rows(W, idx, config, init_index)
+
+    data_path = str(tmp_path / "d.csv")
+    main(["simulate", "--mode", "double", "--n", "200", "--seed", "5",
+          "--out", data_path])
+    monkeypatch.setattr(bootstrap_module, "_refit_rows", first_three_stall)
+    code = main(["ci", "--mode", "double", "--data", data_path, "--method",
+                 "wald", "--fisher-averaged", "--b", "20", "--m1", "15",
+                 "--out", str(tmp_path / "ci.csv")])
+    assert code == 4
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["ci", "--mode", "single", "--method", "wald"], 1),
+        (["ci", "--mode", "double", "--method", "wald"], 1),
+        (["ci", "--mode", "double", "--method", "wald", "--fisher-averaged",
+          "--b", "5"], 1),
+        (["ci", "--mode", "single", "--method", "bootstrap", "--b", "5"], 1),
+        (["coverage", "--mode", "double", "--method", "wald", "--n", "150",
+          "--reps", "2", "--points", "4:6"], 2),
+    ],
+)
+def test_one_weight_build_per_fit(tmp_path, monkeypatch, argv, builds):
+    # the fit's weight matrix feeds the information matrix, Fisher averaging
+    # and the bootstrap; none of them groups the records again
+    import incutime.bootstrap
+    import incutime.cli
+    import incutime.inference
+    import incutime.solver
+    import incutime.weights
+
+    calls = []
+
+    def counted(data, grid):
+        calls.append(data.n)
+        return incutime.weights.build_weight_matrix(data, grid)
+
+    for module in (incutime.solver, incutime.inference, incutime.bootstrap,
+                   incutime.cli):
+        monkeypatch.setattr(module, "build_weight_matrix", counted, raising=False)
+    out = str(tmp_path / "out.csv")
+    if argv[0] == "ci":
+        data_path = str(tmp_path / "d.csv")
+        main(["simulate", "--mode", argv[2], "--n", "150", "--seed", "5",
+              "--out", data_path])
+        argv = [*argv, "--data", data_path, "--m1", "15", "--points", "4:6"]
+    assert main([*argv, "--seed", "1", "--out", out]) == 0
+    assert len(calls) == builds

@@ -2,21 +2,23 @@ import numpy as np
 import pytest
 
 from incutime import (
+    BootstrapFailureError,
     Dataset,
     DayCdf,
     DegenerateFitError,
     FisherResult,
     Grid,
     MassFunction,
+    NonConvergenceError,
     SolverConfig,
+    build_weight_matrix,
     candidate_grid,
     cdf_covariance,
     cdf_from_mass,
     extend_variances,
     fisher_result,
     fit_npmle,
-    observed_fisher_doubly,
-    observed_fisher_singly,
+    observed_fisher,
     validate_dataset,
     wald_intervals,
 )
@@ -26,12 +28,17 @@ from incutime.linalg import spd_invert
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 
 
+def day_weights(data, fhat):
+    """The weight matrix of the records over days 1..fhat.last_day."""
+    return build_weight_matrix(data, Grid(points=np.arange(1, fhat.last_day + 1)))
+
+
 def test_observed_fisher_singly_two_point_toy():
     # two disjoint one-day records with masses (0.5, 0.5): both contribute
     # 1/0.25, so f_11 = 4 and the implied variance 1/f_11 is binomial p(1-p)
     data = validate_dataset(Dataset.singly([1, 1], [1, 2]))
     fhat = DayCdf([0.5, 1.0])
-    fisher = observed_fisher_singly(data, fhat, np.array([1, 2]))
+    fisher = observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2]))
     assert fisher.shape == (1, 1)
     assert fisher[0, 0] == pytest.approx(4.0, abs=1e-12)
     assert 1.0 / fisher[0, 0] == pytest.approx(0.25, abs=1e-12)
@@ -41,13 +48,14 @@ def test_observed_fisher_singly_rejects_zero_fitted_probability():
     data = validate_dataset(Dataset.singly([1, 1], [1, 3]))
     fhat = DayCdf([0.5, 1.0, 1.0])  # record at day 3 has zero fitted mass
     with pytest.raises(DegenerateFitError):
-        observed_fisher_singly(data, fhat, np.array([1, 2]))
+        observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2]))
 
 
 def test_observed_fisher_singly_needs_two_mass_points():
     data = validate_dataset(Dataset.singly([1], [1]))
+    fhat = DayCdf([1.0])
     with pytest.raises(DegenerateFitError):
-        observed_fisher_singly(data, DayCdf([1.0]), np.array([1]))
+        observed_fisher(day_weights(data, fhat), fhat, np.array([1]))
 
 
 def test_observed_fisher_doubly_matches_singly_structure():
@@ -55,7 +63,7 @@ def test_observed_fisher_doubly_matches_singly_structure():
     # those days, reproducing the disjoint-indicator toy above
     data = validate_dataset(Dataset.doubly([1, 1], [0, 1], [1, 2]))
     fhat = DayCdf([0.5, 1.0])
-    fisher = observed_fisher_doubly(data, fhat, np.array([1, 2]))
+    fisher = observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2]))
     assert fisher[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
@@ -65,7 +73,7 @@ def test_observed_fisher_doubly_hand_computed_three_records():
     data = validate_dataset(Dataset.doubly([1, 1, 1], [0, 1, 0], [1, 2, 3]))
     mass = MassFunction([1, 2, 3], [0.5, 0.3, 0.2])
     fhat = cdf_from_mass(mass, Grid(points=[1, 2, 3]))
-    fisher = observed_fisher_doubly(data, fhat, np.array([1, 2, 3]))
+    fisher = observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2, 3]))
     expected = np.array([[4.0 / 3.0, 0.0], [0.0, 100.0 / 27.0]])
     assert np.allclose(fisher, expected, atol=1e-12)
 
@@ -74,8 +82,9 @@ def test_observed_fisher_symmetric_psd_on_simulated_fit():
     truth = TruthSpec(family="truncexp", a=6.0, m1=15)
     data = draw_singly(400, truth, ExposureSpec(m2=15), seed=61)
     grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
-    fisher = observed_fisher_singly(data, cdf_from_mass(mass, grid), mass.support)
+    fisher = observed_fisher(weights, cdf_from_mass(mass, grid), mass.support)
     assert np.allclose(fisher, fisher.T, atol=1e-12)
     assert np.linalg.eigvalsh(fisher).min() >= -1e-9
 
@@ -87,13 +96,15 @@ def test_averaged_single_replicate_equals_inverse_of_that_resample():
     mass, _ = fit_npmle(data, grid)
     config = SolverConfig()
     averaged, skipped = averaged_inverse_information(
-        data, grid, config, mass.support, b=1, seed=63
+        build_weight_matrix(data, grid), config, mass.support, b=1, seed=63
     )
     assert skipped == 0
     replicate = resample(data, 63, 0)
     rep_mass, _ = fit_npmle(replicate, grid, config)
-    plain = observed_fisher_doubly(
-        replicate, cdf_from_mass(rep_mass, grid), mass.support
+    plain = observed_fisher(
+        build_weight_matrix(replicate, grid),
+        cdf_from_mass(rep_mass, grid),
+        mass.support,
     )
     assert np.array_equal(averaged, spd_invert(plain))
 
@@ -105,13 +116,12 @@ def test_averaged_inverse_dominates_inverse_of_plain_matrix():
     truth = TruthSpec(family="truncexp", a=6.0, m1=15)
     data = draw_doubly(500, truth, ExposureSpec(m2=15), seed=72)
     grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
     averaged, _ = averaged_inverse_information(
-        data, grid, SolverConfig(), mass.support, b=50, seed=64
+        weights, SolverConfig(), mass.support, b=50, seed=64
     )
-    plain = observed_fisher_doubly(
-        data, cdf_from_mass(mass, grid), mass.support
-    )
+    plain = observed_fisher(weights, cdf_from_mass(mass, grid), mass.support)
     gap_diag = np.diag(averaged - spd_invert(plain))
     assert gap_diag.sum() > 0
 
@@ -216,7 +226,7 @@ def test_fisher_result_end_to_end_singly():
     data = draw_singly(500, truth, ExposureSpec(m2=15), seed=65)
     grid = candidate_grid(data, m1=15)
     mass, _ = fit_npmle(data, grid)
-    result = fisher_result(data, grid, mass, m1=15)
+    result = fisher_result(build_weight_matrix(data, grid), mass, m1=15)
     assert isinstance(result, FisherResult)
     assert result.variances.shape == (15,)
     assert np.all(result.variances >= 0)
@@ -232,7 +242,25 @@ def test_fisher_result_rejects_single_point_fit():
     grid = candidate_grid(data)
     mass, _ = fit_npmle(data, grid)
     with pytest.raises(DegenerateFitError):
-        fisher_result(data, grid, mass, m1=15)
+        fisher_result(build_weight_matrix(data, grid), mass, m1=15)
+
+
+def test_fisher_averaging_fails_loudly_when_refits_collapse(monkeypatch):
+    import incutime.bootstrap as bootstrap_module
+
+    def always_stalls(W, idx, config, init_index):
+        raise NonConvergenceError("forced failure")
+
+    data = draw_doubly(200, TruthSpec(family="truncexp", a=6.0, m1=15),
+                       ExposureSpec(m2=15), seed=73)
+    grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
+    mass, _ = fit_npmle(data, grid)
+    monkeypatch.setattr(bootstrap_module, "_refit_rows", always_stalls)
+    with pytest.raises(BootstrapFailureError) as err:
+        fisher_result(weights, mass, m1=15, averaging=20)
+    assert err.value.failed == 20
+    assert err.value.total == 20
 
 
 def test_singular_information_falls_back_to_pseudo_inverse():

@@ -239,6 +239,7 @@ def test_resampled_refits_converge_despite_tiny_predicted_decrease():
     data = draw_singly(1000, truth, ExposureSpec(m2=15), 12345)
     grid = candidate_grid(data, m1=15)
     table = bootstrap_ci(
-        data, grid, BootstrapConfig(b=300, seed=0, points=(4, 6, 8))
+        build_weight_matrix(data, grid),
+        BootstrapConfig(b=300, seed=0, points=(4, 6, 8)),
     )
     assert table.metadata["failed"] == 0

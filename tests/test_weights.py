@@ -89,7 +89,7 @@ def test_build_weight_matrix_singly_row():
     data = validate_dataset(Dataset.singly([2], [3]))
     W = build_weight_matrix(data, Grid(points=np.arange(1, 6)))
     assert np.array_equal(W.dense[0], [0.0, 1.0, 1.0, 0.0, 0.0])
-    assert np.array_equal(W.row_indices(0), [1, 2])
+    assert np.array_equal(np.flatnonzero(W.dense[W.record_rows[0]]), [1, 2])
 
 
 def test_build_weight_matrix_trivial_record():
@@ -144,8 +144,9 @@ def test_build_weight_matrix_singly_rows_are_contiguous_ones():
     grid = Grid(points=np.arange(1, 26))
     W = build_weight_matrix(data, grid)
     for i in range(data.n):
-        idx = W.row_indices(i)
-        assert np.array_equal(np.sort(W.row_weights(i)), np.ones(idx.size))
+        row = W.dense[W.record_rows[i]]
+        idx = np.flatnonzero(row)
+        assert np.array_equal(np.sort(row[idx]), np.ones(idx.size))
         assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
 
 
@@ -157,10 +158,3 @@ def test_build_weight_matrix_flags_record_outside_grid():
         build_weight_matrix(data, Grid(points=np.array([2, 3])))
     assert err.value.record_index == 1
 
-
-def test_likelihood_terms_are_row_mass_products():
-    data = validate_dataset(Dataset.doubly([10, 2], [2, 0], [5, 3]))
-    grid = Grid(points=np.arange(1, 6))
-    W = build_weight_matrix(data, grid)
-    masses = np.array([0.1, 0.2, 0.3, 0.25, 0.15])
-    assert np.allclose(W.likelihood_terms(masses), W.dense @ masses)
