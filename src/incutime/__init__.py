@@ -35,10 +35,8 @@ from .inference import (
 from .model import (
     Dataset,
     DayCdf,
-    DoublyObs,
     Grid,
     MassFunction,
-    SinglyObs,
     candidate_grid,
     cdf_from_mass,
     validate_dataset,
@@ -72,7 +70,6 @@ from .solver import (
 from .weights import (
     WeightMatrix,
     build_weight_matrix,
-    indicator_weight,
     psi_weight,
     window_weight,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "DatasetValidationError",
     "DayCdf",
     "DegenerateFitError",
-    "DoublyObs",
     "ExposureSpec",
     "FisherResult",
     "Grid",
@@ -100,7 +96,6 @@ __all__ = [
     "MassFunction",
     "NonConvergenceError",
     "RankDeficiencyError",
-    "SinglyObs",
     "SingularMatrixError",
     "SolverConfig",
     "TruncExpFit",
@@ -122,7 +117,6 @@ __all__ = [
     "fit_npmle",
     "fit_trunc_exp",
     "fit_weights",
-    "indicator_weight",
     "observed_fisher",
     "phi",
     "phi_gradient",

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BootstrapFailureError,
-    DegenerateFitError,
-    InfeasiblePointError,
-    InfeasibleRecordError,
-    LineSearchError,
-    NonConvergenceError,
-    RankDeficiencyError,
-)
+from .errors import BootstrapFailureError, IncutimeError
 from .inference import IntervalRow, IntervalTable
 from .model import Dataset, cdf_from_mass
 from .solver import SolverConfig, _initial_support_index, _minimize, fit_weights
@@ -62,16 +54,6 @@ def resample(data: Dataset, seed, replicate_index: int) -> Dataset:
     return data.take(_replicate_indices(seed, replicate_index, data.n))
 
 
-_REPLICATE_ERRORS = (
-    NonConvergenceError,
-    DegenerateFitError,
-    RankDeficiencyError,
-    LineSearchError,
-    InfeasiblePointError,
-    InfeasibleRecordError,
-)
-
-
 def _refit_rows(
     W: WeightMatrix, idx: np.ndarray, config: SolverConfig, init_index: int | None
 ) -> tuple[WeightMatrix, np.ndarray]:
@@ -94,14 +76,14 @@ def refit_replicates(
 
     Replicate k draws the records of ``resample(data, seed, k)``.  Yields,
     in replicate order, ``(sub, masses)`` with the replicate's weight matrix
-    and fitted grid masses, or None when the refit fails with one of the
-    replicate errors; the caller decides how many failures it tolerates.
+    and fitted grid masses, or None when the refit raises any IncutimeError;
+    the caller decides how many failures it tolerates.
     """
     for k in range(b):
         idx = _replicate_indices(seed, k, W.n)
         try:
             result = _refit_rows(W, idx, config, init_index)
-        except _REPLICATE_ERRORS:
+        except IncutimeError:
             result = None
         yield result
 

@@ -7,8 +7,10 @@ fit        estimate the day-averaged distribution from a dataset CSV
 ci         fit plus confidence intervals (wald or bootstrap)
 coverage   Monte Carlo coverage study of the interval methods
 
-Exit codes: 0 success, 2 solver did not converge, 3 invalid input or
-arguments, 4 infeasible or degenerate data.
+Exit codes, by exception class: 0 success, 2 solver did not converge
+(NonConvergenceError, LineSearchError), 3 invalid input or arguments
+(DatasetValidationError, ValueError, OSError), 4 any other IncutimeError
+(infeasible or degenerate data, too many failed replicates).
 """
 
 from __future__ import annotations
@@ -19,15 +21,13 @@ import sys
 
 from .bootstrap import BootstrapConfig, bootstrap_ci
 from .errors import (
-    BootstrapFailureError,
     DatasetValidationError,
     DegenerateFitError,
-    InfeasiblePointError,
-    InfeasibleRecordError,
+    IncutimeError,
+    LineSearchError,
     NonConvergenceError,
-    RankDeficiencyError,
 )
-from .inference import Z_QUANTILES, fisher_result, wald_intervals
+from .inference import fisher_result, wald_intervals
 from .model import (
     DOUBLE,
     SINGLE,
@@ -47,15 +47,6 @@ from .simulate import (
 )
 from .solver import SolverConfig, fit_weights
 from .weights import build_weight_matrix
-
-_FIT_FAILURES = (
-    NonConvergenceError,
-    DegenerateFitError,
-    InfeasibleRecordError,
-    InfeasiblePointError,
-    RankDeficiencyError,
-    BootstrapFailureError,
-)
 
 
 def parse_points(text: str) -> list:
@@ -177,8 +168,6 @@ def _check_interval_args(args) -> None:
             )
         if args.b < 1:
             raise ValueError("--fisher-averaged needs --b >= 1")
-    if args.method == "wald" and args.level not in Z_QUANTILES:
-        raise ValueError(f"wald intervals support levels {sorted(Z_QUANTILES)}")
 
 
 def _interval_table(weights, mass, args, horizon, points, solver_config):
@@ -232,7 +221,7 @@ def cmd_coverage(args) -> int:
             table = _interval_table(
                 weights, mass, args, truth.m1, points, solver_config
             )
-        except _FIT_FAILURES:
+        except IncutimeError:
             failures += 1
             continue
         used += 1
@@ -367,21 +356,15 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 3
     try:
         return args.func(args)
-    except NonConvergenceError as exc:
+    except (NonConvergenceError, LineSearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (
-        InfeasibleRecordError,
-        InfeasiblePointError,
-        RankDeficiencyError,
-        DegenerateFitError,
-        BootstrapFailureError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (DatasetValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except IncutimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

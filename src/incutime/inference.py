@@ -7,9 +7,10 @@ to a covariance for the day CDF values at the mass points; step-function
 extension then yields a variance for every day up to m1, and Wald intervals
 follow after dividing by the sample size.
 
-Everything here consumes the fit's ``WeightMatrix``: the information matrix
-is a count-weighted sum over its rows, so the likelihood terms behind the
-intervals are the very ones the solver maximised, and Fisher averaging
+Everything here consumes the fit's ``WeightMatrix`` and its grid mass
+vector: the information matrix is a count-weighted sum over the matrix rows
+with the fitted masses in the denominators, so the likelihood terms behind
+the intervals are the very ones the solver maximised, and Fisher averaging
 resamples the same matrix.
 """
 
@@ -20,14 +21,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import DegenerateFitError, SingularMatrixError
 from .linalg import spd_invert
-from .model import DayCdf, MassFunction, cdf_from_mass
+from .model import DayCdf, MassFunction
 from .solver import SolverConfig
 from .weights import WeightMatrix
-
-Z_QUANTILES = {0.90: 1.645, 0.95: 1.96, 0.99: 2.576}
 
 
 @dataclass(frozen=True)
@@ -79,19 +79,14 @@ class FisherResult:
     """Observed information pipeline output for one fitted distribution."""
 
     support: np.ndarray
-    fisher: np.ndarray
-    inverse: np.ndarray
-    cdf_cov: np.ndarray
     variances: np.ndarray
     used_pseudo_inverse: bool = False
     replicates_skipped: int = 0
 
 
-def _masses_from_cdf(fhat: DayCdf) -> np.ndarray:
-    return np.diff(fhat.values, prepend=0.0)
-
-
-def observed_fisher(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
+def observed_fisher(
+    weights: WeightMatrix, masses: np.ndarray, support
+) -> np.ndarray:
     """Count-weighted observed information from weight-matrix columns.
 
     f_jk = (1/n) sum_i c_i (w_i(j) - w_i(m)) (w_i(k) - w_i(m)) / d_i^2
@@ -99,8 +94,8 @@ def observed_fisher(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
     over the distinct records i with counts c_i, where j and k run over the
     first l - 1 mass points, m is the last one, w_i is the record's weight
     row (interval indicator in single mode, window kernel in double mode)
-    and d_i = sum_t w_i(t) p_t its fitted probability under the masses of
-    ``fhat``, which must cover every grid day.
+    and d_i = sum_t w_i(t) p_t its fitted probability under ``masses``,
+    the fitted mass vector over the grid.
     """
     support = np.asarray(support, dtype=int)
     if support.size < 2:
@@ -109,7 +104,7 @@ def observed_fisher(weights: WeightMatrix, fhat: DayCdf, support) -> np.ndarray:
     if not np.isin(support, points).all():
         raise ValueError("support days must be grid points")
     cols = np.searchsorted(points, support)
-    denom = weights.dense @ _masses_from_cdf(fhat)[points - 1]
+    denom = weights.dense @ masses
     bad = np.flatnonzero(denom <= 0.0)
     if bad.size:
         raise DegenerateFitError(
@@ -153,7 +148,6 @@ def averaged_inverse_information(
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
-    grid = weights.grid
     total = None
     used = 0
     skipped = 0
@@ -162,10 +156,8 @@ def averaged_inverse_information(
             skipped += 1
             continue
         sub, masses = result
-        positive = masses > 0.0
-        mass = MassFunction(support=grid.points[positive], probs=masses[positive])
         try:
-            fisher = observed_fisher(sub, cdf_from_mass(mass, grid), support)
+            fisher = observed_fisher(sub, masses, support)
             inverse = spd_invert(fisher)
         except (DegenerateFitError, SingularMatrixError):
             skipped += 1
@@ -233,11 +225,12 @@ def wald_intervals(
 ) -> IntervalTable:
     """Symmetric intervals F(t) +/- z * sqrt(variance_t / n), clipped to [0, 1].
 
-    The unclipped bounds are retained on each row as raw_lower/raw_upper.
+    z is the standard normal quantile at (1 + level) / 2.  The unclipped
+    bounds are retained on each row as raw_lower/raw_upper.
     """
-    if level not in Z_QUANTILES:
-        raise ValueError(f"level must be one of {sorted(Z_QUANTILES)}")
-    z = Z_QUANTILES[level]
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    z = float(ndtri(0.5 + level / 2.0))
     points = list(points)
     m1 = variances.shape[0]
     rows = []
@@ -283,23 +276,17 @@ def fisher_result(
             "variance estimation needs at least 2 fitted mass points"
         )
     skipped = 0
+    used_pinv = False
     if averaging is None:
-        fhat = cdf_from_mass(mass, weights.grid)
-        fisher = observed_fisher(weights, fhat, support)
+        fisher = observed_fisher(weights, mass.as_vector(weights.grid), support)
         inverse, used_pinv = _invert_information(fisher)
     else:
         inverse, skipped = averaged_inverse_information(
             weights, solver_config or SolverConfig(), support, averaging, seed
         )
-        # the information implied by the averaged inverse, for reporting
-        fisher, used_pinv = _invert_information(inverse)
-    cov = _partial_sum_covariance(inverse)
-    variances = extend_variances(cov, support, m1)
+    variances = extend_variances(_partial_sum_covariance(inverse), support, m1)
     return FisherResult(
         support=support,
-        fisher=fisher,
-        inverse=inverse,
-        cdf_cov=cov,
         variances=variances,
         used_pseudo_inverse=used_pinv,
         replicates_skipped=skipped,

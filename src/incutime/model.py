@@ -22,28 +22,10 @@ DOUBLE = "double"
 
 
 @dataclass(frozen=True)
-class SinglyObs:
-    """One singly censored record: exposure length and onset day."""
-
-    e: int
-    s: int
-
-
-@dataclass(frozen=True)
-class DoublyObs:
-    """One doubly censored record: exposure length and onset window (s_l, s_r]."""
-
-    e: int
-    s_l: int
-    s_r: int
-
-
-@dataclass(frozen=True)
 class Dataset:
     """A homogeneous collection of observations, stored column-wise.
 
-    Column storage keeps resampling and weight construction vectorized; the
-    ``records`` property exposes the row view.
+    Column storage keeps resampling and weight construction vectorized.
     """
 
     mode: str
@@ -78,32 +60,12 @@ class Dataset:
     def doubly(cls, e, s_l, s_r) -> "Dataset":
         return cls(mode=DOUBLE, e=e, s_l=s_l, s_r=s_r)
 
-    @classmethod
-    def from_records(cls, records) -> "Dataset":
-        records = list(records)
-        if records and isinstance(records[0], DoublyObs):
-            return cls.doubly(
-                [r.e for r in records],
-                [r.s_l for r in records],
-                [r.s_r for r in records],
-            )
-        return cls.singly([r.e for r in records], [r.s for r in records])
-
     @property
     def n(self) -> int:
         return int(self.e.shape[0])
 
     def __len__(self) -> int:
         return self.n
-
-    @property
-    def records(self) -> list:
-        if self.mode == SINGLE:
-            return [SinglyObs(int(a), int(b)) for a, b in zip(self.e, self.s)]
-        return [
-            DoublyObs(int(a), int(b), int(c))
-            for a, b, c in zip(self.e, self.s_l, self.s_r)
-        ]
 
     def take(self, indices) -> "Dataset":
         """Row subset (used by resampling); preserves mode."""

@@ -40,25 +40,24 @@ from .model import Dataset, Grid, MassFunction
 from .weights import WeightMatrix, build_weight_matrix
 
 
+ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
+ARMIJO_SHRINK = 0.5  # step shrink factor of the line search
+INNER_TOL = 1e-12  # gradient tolerance of the quadratic subproblem
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Tunable knobs for the support reduction solver.
 
-    tol:            certificate tolerance for both optimality conditions
-    max_outer:      outer iteration cap
-    armijo_c:       sufficient-decrease constant of the line search
-    armijo_shrink:  step shrink factor of the line search
-    inner_tol:      gradient tolerance of the quadratic subproblem
-    init_point:     optional starting support day (defaults to the grid
-                    point nearest the median observed onset among those
-                    that carry weight for some record)
+    tol:         certificate tolerance for both optimality conditions
+    max_outer:   outer iteration cap
+    init_point:  optional starting support day (defaults to the grid point
+                 nearest the median observed onset among those that carry
+                 weight for some record)
     """
 
     tol: float = 1e-10
     max_outer: int = 500
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
-    inner_tol: float = 1e-12
     init_point: int | None = None
 
 
@@ -224,31 +223,10 @@ def _inner_loop(
     return full, support
 
 
-def solve_quadratic_subproblem(
-    support: list[int], p0: np.ndarray, weights: WeightMatrix
-) -> np.ndarray:
-    """Signed normal-equation solution on a fixed support, denominators from p0."""
-    return _QuadraticModel(weights, p0).solve(list(support))
-
-
-def inner_support_loop(
-    p0: np.ndarray,
-    weights: WeightMatrix,
-    start_support: list[int] | None = None,
-    inner_tol: float = 1e-12,
-) -> tuple[np.ndarray, list[int]]:
-    """Cone minimizer of the quadratic model at p0 (full-grid vector, support)."""
-    if start_support is None:
-        start_support = [int(np.argmax(p0))]
-    model = _QuadraticModel(weights, p0)
-    return _inner_loop(model, start_support, weights.m, inner_tol)
-
-
 def armijo_search(
     p0: np.ndarray,
     p_target: np.ndarray,
     weights: WeightMatrix,
-    config: SolverConfig,
 ) -> tuple[np.ndarray, float]:
     """Backtrack along the segment from p0 to p_target until phi decreases enough.
 
@@ -261,7 +239,7 @@ def armijo_search(
     slope = float(phi_gradient(p0, weights) @ delta)
     base = phi(p0, weights)
     resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(base))
-    if config.armijo_c * abs(slope) <= resolution:
+    if ARMIJO_C * abs(slope) <= resolution:
         # the predicted decrease is below the floating point resolution of
         # the criterion, so no backtracking test can verify it; take the
         # full step unless it visibly increases the criterion
@@ -278,9 +256,9 @@ def armijo_search(
             value = phi(trial, weights)
         except InfeasiblePointError:
             value = np.inf
-        if value <= base + config.armijo_c * alpha * slope:
+        if value <= base + ARMIJO_C * alpha * slope:
             return trial, alpha
-        alpha *= config.armijo_shrink
+        alpha *= ARMIJO_SHRINK
     raise LineSearchError("no acceptable step length above 1e-15")
 
 
@@ -331,9 +309,9 @@ def _minimize(
                 trace=trace,
             )
         model = _QuadraticModel(weights, current)
-        target, support = _inner_loop(model, support, m, config.inner_tol)
+        target, support = _inner_loop(model, support, m, INNER_TOL)
         try:
-            current, _ = armijo_search(current, target, weights, config)
+            current, _ = armijo_search(current, target, weights)
         except LineSearchError:
             trace.final_masses = current
             raise NonConvergenceError(

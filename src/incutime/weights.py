@@ -21,11 +21,6 @@ from .errors import InfeasibleRecordError
 from .model import SINGLE, Dataset, Grid
 
 
-def indicator_weight(j: int, e: int, s: int) -> float:
-    """1 if day j lies in the onset interval (s - e, s], else 0."""
-    return 1.0 if (s - e) < j <= s else 0.0
-
-
 def _ramp(c, t):
     # (c - t) on 0 < t <= c, else 0; the building block of the window kernel
     return (c - t) * ((t > 0) & (t <= c))

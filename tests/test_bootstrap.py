@@ -28,7 +28,7 @@ def test_resample_is_deterministic_per_replicate():
 def test_resample_single_record_repeats_it():
     data = validate_dataset(Dataset.singly([2], [4]))
     out = resample(data, 0, 0)
-    assert out.n == 1 and out.records == data.records
+    assert out.n == 1 and out == data
 
 
 def test_resample_record_frequencies():

@@ -1,11 +1,25 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import incutime.cli
 from incutime import (
+    BootstrapFailureError,
     Dataset,
     DatasetValidationError,
+    DegenerateFitError,
+    IncutimeError,
+    InfeasiblePointError,
+    InfeasibleRecordError,
+    LineSearchError,
+    NonConvergenceError,
+    RankDeficiencyError,
+    SingularMatrixError,
     build_weight_matrix,
     candidate_grid,
     fenchel_residuals,
@@ -13,6 +27,8 @@ from incutime import (
 )
 from incutime.cli import main, parse_points, read_dataset_csv, write_dataset_csv
 from incutime.simulate import ExposureSpec, TruthSpec, draw_singly
+
+SRC = Path(incutime.cli.__file__).resolve().parents[1]
 
 
 def _read_rows(path):
@@ -210,9 +226,55 @@ def test_exit_code_invalid_input(tmp_path):
     ) == 3
     assert main(
         ["ci", "--mode", "single", "--data", data_path, "--method", "wald",
-         "--level", "0.93", "--out", out]
+         "--level", "1.5", "--out", out]
     ) == 3
     assert main(["fit", "--no-such-flag"]) == 3
+
+
+# the documented exit code of every package error, by class
+EXIT_CODES = [
+    (NonConvergenceError("forced"), 2),
+    (LineSearchError("forced"), 2),
+    (DatasetValidationError("forced"), 3),
+    (InfeasibleRecordError(0), 4),
+    (InfeasiblePointError(0), 4),
+    (SingularMatrixError(0), 4),
+    (RankDeficiencyError([1, 2]), 4),
+    (DegenerateFitError("forced"), 4),
+    (BootstrapFailureError("forced", failed=1, total=2), 4),
+    (IncutimeError("forced"), 4),
+]
+
+
+def test_exit_codes_cover_every_package_error():
+    listed = {type(exc) for exc, _ in EXIT_CODES}
+    assert listed == {IncutimeError, *IncutimeError.__subclasses__()}
+
+
+@pytest.mark.parametrize(
+    "error, code", EXIT_CODES, ids=[type(exc).__name__ for exc, _ in EXIT_CODES]
+)
+def test_exit_code_for_every_package_error(tmp_path, monkeypatch, capsys, error, code):
+    def raises(weights, config=None):
+        raise error
+
+    path = tmp_path / "d.csv"
+    _write_singly(path, [(1, 1), (2, 3)])
+    monkeypatch.setattr(incutime.cli, "fit_weights", raises)
+    assert main(["fit", "--mode", "single", "--data", str(path),
+                 "--out", str(tmp_path / "fit.csv")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats adds about half a second to every command's start-up
+    code = "import incutime.cli, sys; assert 'scipy.stats' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_exit_code_infeasible_record(tmp_path):
@@ -255,8 +317,6 @@ def test_coverage_smoke(tmp_path):
 
 def test_exit_code_fisher_averaging_failures(tmp_path, monkeypatch):
     import incutime.bootstrap as bootstrap_module
-
-    from incutime import NonConvergenceError
 
     refit_rows = bootstrap_module._refit_rows
     calls = []

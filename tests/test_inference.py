@@ -14,7 +14,6 @@ from incutime import (
     build_weight_matrix,
     candidate_grid,
     cdf_covariance,
-    cdf_from_mass,
     extend_variances,
     fisher_result,
     fit_npmle,
@@ -28,17 +27,17 @@ from incutime.linalg import spd_invert
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 
 
-def day_weights(data, fhat):
-    """The weight matrix of the records over days 1..fhat.last_day."""
-    return build_weight_matrix(data, Grid(points=np.arange(1, fhat.last_day + 1)))
+def day_weights(data, masses):
+    """The weight matrix of the records over days 1..len(masses)."""
+    return build_weight_matrix(data, Grid(points=np.arange(1, len(masses) + 1)))
 
 
 def test_observed_fisher_singly_two_point_toy():
     # two disjoint one-day records with masses (0.5, 0.5): both contribute
     # 1/0.25, so f_11 = 4 and the implied variance 1/f_11 is binomial p(1-p)
     data = validate_dataset(Dataset.singly([1, 1], [1, 2]))
-    fhat = DayCdf([0.5, 1.0])
-    fisher = observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2]))
+    masses = np.array([0.5, 0.5])
+    fisher = observed_fisher(day_weights(data, masses), masses, np.array([1, 2]))
     assert fisher.shape == (1, 1)
     assert fisher[0, 0] == pytest.approx(4.0, abs=1e-12)
     assert 1.0 / fisher[0, 0] == pytest.approx(0.25, abs=1e-12)
@@ -46,24 +45,24 @@ def test_observed_fisher_singly_two_point_toy():
 
 def test_observed_fisher_singly_rejects_zero_fitted_probability():
     data = validate_dataset(Dataset.singly([1, 1], [1, 3]))
-    fhat = DayCdf([0.5, 1.0, 1.0])  # record at day 3 has zero fitted mass
+    masses = np.array([0.5, 0.5, 0.0])  # record at day 3 has zero fitted mass
     with pytest.raises(DegenerateFitError):
-        observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2]))
+        observed_fisher(day_weights(data, masses), masses, np.array([1, 2]))
 
 
 def test_observed_fisher_singly_needs_two_mass_points():
     data = validate_dataset(Dataset.singly([1], [1]))
-    fhat = DayCdf([1.0])
+    masses = np.array([1.0])
     with pytest.raises(DegenerateFitError):
-        observed_fisher(day_weights(data, fhat), fhat, np.array([1]))
+        observed_fisher(day_weights(data, masses), masses, np.array([1]))
 
 
 def test_observed_fisher_doubly_matches_singly_structure():
     # one-day windows at days 1 and 2 with e=1 put unit kernel weight on
     # those days, reproducing the disjoint-indicator toy above
     data = validate_dataset(Dataset.doubly([1, 1], [0, 1], [1, 2]))
-    fhat = DayCdf([0.5, 1.0])
-    fisher = observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2]))
+    masses = np.array([0.5, 0.5])
+    fisher = observed_fisher(day_weights(data, masses), masses, np.array([1, 2]))
     assert fisher[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
@@ -71,9 +70,8 @@ def test_observed_fisher_doubly_hand_computed_three_records():
     # kernel rows on days 1..3 are (1,0,0), (0,1,0) and (1,1,1); the third row
     # is centered away entirely, leaving a diagonal matrix
     data = validate_dataset(Dataset.doubly([1, 1, 1], [0, 1, 0], [1, 2, 3]))
-    mass = MassFunction([1, 2, 3], [0.5, 0.3, 0.2])
-    fhat = cdf_from_mass(mass, Grid(points=[1, 2, 3]))
-    fisher = observed_fisher(day_weights(data, fhat), fhat, np.array([1, 2, 3]))
+    masses = MassFunction([1, 2, 3], [0.5, 0.3, 0.2]).as_vector(Grid(points=[1, 2, 3]))
+    fisher = observed_fisher(day_weights(data, masses), masses, np.array([1, 2, 3]))
     expected = np.array([[4.0 / 3.0, 0.0], [0.0, 100.0 / 27.0]])
     assert np.allclose(fisher, expected, atol=1e-12)
 
@@ -84,7 +82,7 @@ def test_observed_fisher_symmetric_psd_on_simulated_fit():
     grid = candidate_grid(data, m1=15)
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
-    fisher = observed_fisher(weights, cdf_from_mass(mass, grid), mass.support)
+    fisher = observed_fisher(weights, mass.as_vector(grid), mass.support)
     assert np.allclose(fisher, fisher.T, atol=1e-12)
     assert np.linalg.eigvalsh(fisher).min() >= -1e-9
 
@@ -100,11 +98,9 @@ def test_averaged_single_replicate_equals_inverse_of_that_resample():
     )
     assert skipped == 0
     replicate = resample(data, 63, 0)
-    rep_mass, _ = fit_npmle(replicate, grid, config)
+    _, rep_trace = fit_npmle(replicate, grid, config)
     plain = observed_fisher(
-        build_weight_matrix(replicate, grid),
-        cdf_from_mass(rep_mass, grid),
-        mass.support,
+        build_weight_matrix(replicate, grid), rep_trace.final_masses, mass.support
     )
     assert np.array_equal(averaged, spd_invert(plain))
 
@@ -121,7 +117,7 @@ def test_averaged_inverse_dominates_inverse_of_plain_matrix():
     averaged, _ = averaged_inverse_information(
         weights, SolverConfig(), mass.support, b=50, seed=64
     )
-    plain = observed_fisher(weights, cdf_from_mass(mass, grid), mass.support)
+    plain = observed_fisher(weights, mass.as_vector(grid), mass.support)
     gap_diag = np.diag(averaged - spd_invert(plain))
     assert gap_diag.sum() > 0
 
@@ -173,8 +169,9 @@ def test_wald_interval_arithmetic():
     variances = np.array([0.0, 1.0, 0.0])
     table = wald_intervals(fhat, variances, n=100, points=[2])
     row = table.rows[0]
-    assert row.lower == pytest.approx(0.304, abs=1e-12)
-    assert row.upper == pytest.approx(0.696, abs=1e-12)
+    # 0.5 -/+ z * sqrt(1 / 100) with z = 1.959963984540054, the 0.975 normal quantile
+    assert row.lower == pytest.approx(0.3040036015459946, abs=1e-12)
+    assert row.upper == pytest.approx(0.6959963984540054, abs=1e-12)
     assert row.variance == 1.0
 
 
@@ -197,11 +194,16 @@ def test_wald_interval_clipping_keeps_raw_bounds():
 def test_wald_interval_levels():
     fhat = DayCdf([0.5, 1.0])
     variances = np.array([1.0, 0.0])
-    for level, z in ((0.90, 1.645), (0.99, 2.576)):
+    # standard normal quantiles at (1 + level) / 2
+    for level, z in ((0.90, 1.6448536269514722), (0.99, 2.5758293035489004)):
         table = wald_intervals(fhat, variances, n=100, points=[1], level=level)
         assert table.rows[0].upper == pytest.approx(0.5 + z / 10.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        wald_intervals(fhat, variances, n=100, points=[1], level=0.93)
+    # any level in (0, 1) is accepted, not only a tabulated few
+    mid = wald_intervals(fhat, variances, n=100, points=[1], level=0.93).rows[0]
+    assert 0.5 + 1.6448536269514722 / 10.0 < mid.upper < 0.5 + 2.5758293035489004 / 10.0
+    for level in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            wald_intervals(fhat, variances, n=100, points=[1], level=level)
 
 
 def test_wald_interval_rejects_day_outside_horizon():

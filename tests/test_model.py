@@ -5,10 +5,8 @@ from incutime import (
     Dataset,
     DatasetValidationError,
     DayCdf,
-    DoublyObs,
     Grid,
     MassFunction,
-    SinglyObs,
     candidate_grid,
     cdf_from_mass,
     validate_dataset,
@@ -17,19 +15,19 @@ from incutime import (
 
 def test_validate_keeps_valid_singly_record():
     data = validate_dataset(Dataset.singly([5], [8]))
-    assert data.records == [SinglyObs(5, 8)]
+    assert data == Dataset.singly([5], [8])
 
 
 def test_validate_clamps_exposure_when_onset_precedes_window_end():
     # onset before the exposure window closed: the window is shortened so the
     # likelihood interval becomes (0, s]
     data = validate_dataset(Dataset.singly([5], [2]))
-    assert data.records == [SinglyObs(2, 2)]
+    assert data == Dataset.singly([2], [2])
 
 
 def test_validate_clips_negative_left_onset_bound():
     data = validate_dataset(Dataset.doubly([3], [-1], [2]))
-    assert data.records == [DoublyObs(3, 0, 2)]
+    assert data == Dataset.doubly([3], [0], [2])
 
 
 def test_validate_is_idempotent():
@@ -70,12 +68,7 @@ def test_validate_rejects_empty_onset_window():
 def test_dataset_take_preserves_mode_and_rows():
     data = validate_dataset(Dataset.doubly([1, 2, 3], [0, 1, 2], [2, 3, 4]))
     sub = data.take([2, 0, 2])
-    assert sub.records == [DoublyObs(3, 2, 4), DoublyObs(1, 0, 2), DoublyObs(3, 2, 4)]
-
-
-def test_dataset_from_records_round_trip():
-    data = validate_dataset(Dataset.singly([1, 2], [3, 4]))
-    assert Dataset.from_records(data.records) == data
+    assert sub == Dataset.doubly([3, 1, 3], [2, 0, 2], [4, 2, 4])
 
 
 def test_cdf_from_mass_single_atom():

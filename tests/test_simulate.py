@@ -3,7 +3,6 @@ import pytest
 
 from incutime import (
     ExposureSpec,
-    SinglyObs,
     TruthSpec,
     draw_doubly,
     draw_singly,
@@ -77,8 +76,7 @@ def test_singly_normalizes_short_onsets():
     from incutime import Dataset, validate_dataset
 
     e, s = singly_records_from_draws([5], [1.0], [0.2])
-    record = validate_dataset(Dataset.singly(e, s)).records[0]
-    assert record == SinglyObs(2, 2)
+    assert validate_dataset(Dataset.singly(e, s)) == Dataset.singly([2], [2])
 
 
 def test_doubly_window_candidates():

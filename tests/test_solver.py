@@ -23,10 +23,8 @@ from incutime.solver import (
     _QuadraticModel,
     armijo_search,
     fenchel_residuals,
-    inner_support_loop,
     phi,
     phi_gradient,
-    solve_quadratic_subproblem,
 )
 from incutime.weights import WeightMatrix
 
@@ -84,7 +82,7 @@ def test_fenchel_residuals_at_optimum():
 
 def test_quadratic_subproblem_unit_denominators():
     W = one_record_weights()
-    sol = solve_quadratic_subproblem([0], np.array([1.0]), W)
+    sol = _QuadraticModel(W, np.array([1.0])).solve([0])
     assert sol == pytest.approx([1.0], abs=1e-12)
 
 
@@ -92,7 +90,7 @@ def test_quadratic_subproblem_constant_denominators():
     # with every denominator equal to c the normal equations give 2c - c^2
     W = one_record_weights()
     for c in (0.5, 0.8, 1.5):
-        sol = solve_quadratic_subproblem([0], np.array([c]), W)
+        sol = _QuadraticModel(W, np.array([c])).solve([0])
         assert sol == pytest.approx([2 * c - c * c], abs=1e-12)
 
 
@@ -100,7 +98,8 @@ def test_inner_loop_reaches_both_blocks():
     # denominators from a lopsided start make the uncovered block's model
     # gradient negative, so the inner loop must add it
     W = two_block_weights()
-    target, support = inner_support_loop(np.array([0.9, 0.1]), W)
+    model = _QuadraticModel(W, np.array([0.9, 0.1]))
+    target, support = _inner_loop(model, [0], W.m, 1e-12)
     assert sorted(support) == [0, 1]
     assert np.all(target >= 0)
     assert target[1] > 0
@@ -139,7 +138,7 @@ def test_inner_loop_refusing_the_added_point_is_a_typed_error():
 def test_armijo_zero_direction_returns_start():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
-    p, alpha = armijo_search(p0, p0.copy(), W, SolverConfig())
+    p, alpha = armijo_search(p0, p0.copy(), W)
     assert np.array_equal(p, p0)
 
 
@@ -147,7 +146,7 @@ def test_armijo_accepts_full_step_on_clean_descent():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
     target = np.array([0.9, 0.1])
-    p, alpha = armijo_search(p0, target, W, SolverConfig())
+    p, alpha = armijo_search(p0, target, W)
     assert alpha == 1.0
     assert phi(p, W) < phi(p0, W)
 
@@ -158,7 +157,7 @@ def test_armijo_backtracks_past_infeasible_target():
     W = two_block_weights()
     p0 = np.array([0.5, 0.5])
     target = np.array([1.2, -0.2])
-    p, alpha = armijo_search(p0, target, W, SolverConfig())
+    p, alpha = armijo_search(p0, target, W)
     assert alpha < 1.0
     assert phi(p, W) < phi(p0, W)
 
@@ -206,7 +205,7 @@ def test_fit_subproblem_fixed_point():
     mass, trace, W, grid = _simulated_fit(seed=23)
     p = trace.final_masses
     support = list(np.flatnonzero(p > 0.0))
-    again = solve_quadratic_subproblem(support, p, W)
+    again = _QuadraticModel(W, p).solve(support)
     assert np.allclose(again, p[support], atol=1e-9)
 
 

@@ -7,7 +7,6 @@ from incutime import (
     InfeasibleRecordError,
     MassFunction,
     build_weight_matrix,
-    indicator_weight,
     psi_weight,
     validate_dataset,
 )
@@ -26,10 +25,17 @@ def window_integral_by_step_sums(e, s_l, s_r, mass):
     return total
 
 
+def single_row(e, s, top):
+    """Single-mode weight row of the record (e, s) over days 1..top."""
+    data = validate_dataset(Dataset.singly([e], [s]))
+    return build_weight_matrix(data, Grid(points=np.arange(1, top + 1))).dense[0]
+
+
 def test_indicator_weight_examples():
-    assert indicator_weight(3, 5, 6) == 1.0  # 3 in (1, 6]
-    assert indicator_weight(1, 5, 6) == 0.0  # left endpoint excluded
-    assert indicator_weight(7, 5, 6) == 0.0  # beyond right endpoint
+    row = single_row(5, 6, top=7)
+    assert row[3 - 1] == 1.0  # 3 in (1, 6]
+    assert row[1 - 1] == 0.0  # left endpoint excluded
+    assert row[7 - 1] == 0.0  # beyond right endpoint
 
 
 def test_psi_weight_examples():
@@ -44,7 +50,7 @@ def test_psi_weight_one_day_window_differs_from_indicator():
     # while the single-mode indicator gives the onset day weight 1; the two
     # kernels are intentionally not interchangeable
     assert psi_weight(2, 4, 5, 5) == 0.0
-    assert indicator_weight(5, 2, 5) == 1.0
+    assert single_row(2, 5, top=5)[5 - 1] == 1.0
 
 
 def test_psi_weight_vanishes_at_and_beyond_right_bound():
