@@ -18,6 +18,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+import warnings
+
+import numpy as np
 
 from .bootstrap import BootstrapConfig, bootstrap_ci
 from .errors import (
@@ -64,30 +67,62 @@ def parse_points(text: str) -> list:
     return days
 
 
+def _check_field_counts(path: str, lines, width: int) -> None:
+    """Raise for the first record whose field count is not ``width``.
+
+    Runs only after the body failed to parse, to name the record; blank
+    lines are not records.
+    """
+    records = (row for row in csv.reader(lines) if row)
+    for i, row in enumerate(records):
+        if len(row) != width:
+            raise DatasetValidationError(
+                f"{path}: row has {len(row)} fields, expected {width}",
+                record_index=i,
+            )
+
+
 def read_dataset_csv(path: str, mode: str) -> Dataset:
+    """Read a dataset CSV: header ``e,s`` or ``e,sl,sr``, one record a line.
+
+    Raises DatasetValidationError for a wrong header, a record with the
+    wrong number of fields (``record_index`` counts records, so blank lines
+    are skipped) or no records, and ValueError for a cell that is not a
+    number.
+    """
     expected = ["e", "s"] if mode == SINGLE else ["e", "sl", "sr"]
+    width = len(expected)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        header = next(csv.reader([fh.readline()]), None)
         if header is None or [h.strip().lower() for h in header] != expected:
             raise DatasetValidationError(
                 f"{path}: expected header {','.join(expected)}"
             )
-        columns = [[] for _ in expected]
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise DatasetValidationError(
-                    f"{path}: row has {len(row)} fields, expected {len(expected)}",
-                    record_index=i,
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below as an empty dataset
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning
                 )
-            for col, cell in zip(columns, row):
-                col.append(float(cell))
+                values = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2
+                )
+        except ValueError:
+            fh.seek(body)
+            _check_field_counts(path, fh, width)
+            raise
+    if values.size == 0:
+        raise DatasetValidationError("empty dataset")
+    if values.shape[1] != width:
+        raise DatasetValidationError(
+            f"{path}: row has {values.shape[1]} fields, expected {width}",
+            record_index=0,
+        )
     if mode == SINGLE:
-        data = Dataset.singly(columns[0], columns[1])
+        data = Dataset.singly(values[:, 0], values[:, 1])
     else:
-        data = Dataset.doubly(columns[0], columns[1], columns[2])
+        data = Dataset.doubly(values[:, 0], values[:, 1], values[:, 2])
     return validate_dataset(data)
 
 
@@ -161,6 +196,12 @@ def cmd_fit(args) -> int:
 
 
 def _check_interval_args(args) -> None:
+    """Reject bad interval arguments before any data is read or fitted."""
+    if not 0.0 < args.level < 1.0:
+        raise ValueError("--level must be in (0, 1)")
+    for day in args.points or []:
+        if day < 1 or (args.m1 is not None and day > args.m1):
+            raise ValueError(f"evaluation day {day} outside 1..{args.m1 or 'm1'}")
     if args.fisher_averaged:
         if args.mode != DOUBLE or args.method != "wald":
             raise ValueError(

@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import DegenerateFitError, SingularMatrixError
 from .linalg import spd_invert
@@ -228,6 +227,9 @@ def wald_intervals(
     z is the standard normal quantile at (1 + level) / 2.  The unclipped
     bounds are retained on each row as raw_lower/raw_upper.
     """
+    # imported here to keep scipy.special out of every command's start-up
+    from scipy.special import ndtri
+
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
     z = float(ndtri(0.5 + level / 2.0))

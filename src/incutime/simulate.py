@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .model import Dataset, validate_dataset
 
@@ -90,6 +89,9 @@ def truth_cdf(x, spec: TruthSpec):
 
 def true_fbar(spec: TruthSpec, i: int) -> float:
     """Day-averaged truth value: integral of the truth cdf over (i-1, i]."""
+    # imported here to keep scipy.integrate out of every command's start-up
+    from scipy.integrate import quad
+
     if i < 1:
         raise ValueError("day index must be >= 1")
     if i > spec.m1:

@@ -32,7 +32,6 @@ from .errors import (
     InfeasiblePointError,
     LineSearchError,
     NonConvergenceError,
-    RankDeficiencyError,
     SingularMatrixError,
 )
 from .linalg import spd_solve
@@ -136,38 +135,27 @@ class _QuadraticModel:
         # are plain products and the Gram matrix is exactly symmetric
         root = weights.root_counts
         scaled = weights.dense * (root / d)[:, None]
-        self._wcols = weights.dense
         self.b = 2.0 * (root @ scaled) / weights.n - 1.0
         self.gram = (scaled.T @ scaled) / weights.n
 
     def solve(self, support: list[int]) -> np.ndarray:
         """Unconstrained normal-equation solve restricted to the support.
 
-        Exactly duplicated weight columns (over the distinct records) make
-        the normal matrix singular; such later duplicates are dropped and
-        given zero mass.  Any other singularity is a genuine rank deficiency.
+        A weight column (over the distinct records) that is a linear
+        combination of the support columns before it makes the normal matrix
+        singular, and the Cholesky factorization stops at its pivot.  Such a
+        column is dropped with zero mass and the rest is solved again.
         """
         idx = np.asarray(support, dtype=int)
-        try:
-            return spd_solve(self.gram[np.ix_(idx, idx)], self.b[idx])
-        except SingularMatrixError:
-            keep, dropped = [], []
-            for pos, j in enumerate(support):
-                dup = any(
-                    np.array_equal(self._wcols[:, j], self._wcols[:, k])
-                    for k in support[:pos]
-                )
-                (dropped if dup else keep).append(pos)
-            if not dropped:
-                raise RankDeficiencyError(support) from None
-            kept_idx = idx[keep]
+        out = np.zeros(len(support))
+        kept = np.arange(len(support))
+        while True:
+            cols = idx[kept]
             try:
-                sub = spd_solve(self.gram[np.ix_(kept_idx, kept_idx)], self.b[kept_idx])
-            except SingularMatrixError:
-                raise RankDeficiencyError(support) from None
-            out = np.zeros(len(support))
-            out[keep] = sub
-            return out
+                out[kept] = spd_solve(self.gram[np.ix_(cols, cols)], self.b[cols])
+                return out
+            except SingularMatrixError as exc:
+                kept = np.delete(kept, exc.pivot)
 
     def gradient(self, support: list[int], masses: np.ndarray) -> np.ndarray:
         """Model gradient over the full grid at the embedded support solution."""
@@ -354,9 +342,6 @@ def fit_weights(
     NonConvergenceError
         If no certificate is reached within ``config.max_outer`` iterations,
         or the quadratic subproblem does not settle.
-    RankDeficiencyError
-        If the quadratic subproblem meets a singular normal matrix that no
-        duplicated weight column explains.
     """
     config = config or SolverConfig()
     init_index = _initial_support_index(weights, config)

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +67,57 @@ def test_read_dataset_rejects_wrong_header(tmp_path):
     path.write_text("onset,exposure\n1,2\n")
     with pytest.raises(DatasetValidationError):
         read_dataset_csv(str(path), "single")
+
+
+# (file text, mode, expected): expected is a Dataset for a file that reads,
+# else (exception class, record_index); record_index counts records, so
+# blank lines are not counted
+READER_CASES = {
+    "header only": ("e,s\n", "single", (DatasetValidationError, None)),
+    "blank lines only": ("e,s\n\n\n", "single", (DatasetValidationError, None)),
+    "short row": ("e,s\n1,2\n3\n", "single", (DatasetValidationError, 1)),
+    "long row": ("e,s\n1,2\n3,4,5\n", "single", (DatasetValidationError, 1)),
+    "long first row": ("e,s\n1,2,3\n4,5\n", "single", (DatasetValidationError, 0)),
+    "trailing comma": ("e,s\n1,2,\n", "single", (DatasetValidationError, 0)),
+    "two fields in double mode": (
+        "e,sl,sr\n1,0\n2,1\n", "double", (DatasetValidationError, 0)
+    ),
+    "short row after a blank line": (
+        "e,s\n1,2\n\n3\n", "single", (DatasetValidationError, 1)
+    ),
+    "non-numeric cell": ("e,s\n1,2\n1,x\n", "single", (ValueError, None)),
+    "fractional cell": ("e,s\n1,2\n2,3.5\n", "single", (DatasetValidationError, 1)),
+    "quoted cells": (
+        '"e","s"\n"1","2"\n"3","4"\n', "single", Dataset.singly([1, 3], [2, 4])
+    ),
+    "crlf line endings": (
+        "e,sl,sr\r\n1,0,2\r\n3,1,4\r\n", "double",
+        Dataset.doubly([1, 3], [0, 1], [2, 4]),
+    ),
+    "blank lines": (
+        "e,s\n\n1,2\n\n3,4\n\n", "single", Dataset.singly([1, 3], [2, 4])
+    ),
+    "upper-case spaced header": (
+        "E, SL , Sr\n1,0,2\n", "double", Dataset.doubly([1], [0], [2])
+    ),
+}
+
+
+@pytest.mark.parametrize("text, mode, expected", READER_CASES.values(),
+                         ids=list(READER_CASES))
+def test_read_dataset_csv_cases(tmp_path, text, mode, expected):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(expected, Dataset):
+            assert read_dataset_csv(str(path), mode) == validate_dataset(expected)
+            return
+        error, record_index = expected
+        with pytest.raises(error) as caught:
+            read_dataset_csv(str(path), mode)
+    assert type(caught.value) is error
+    assert getattr(caught.value, "record_index", None) == record_index
 
 
 def test_simulate_writes_expected_shapes(tmp_path):
@@ -207,6 +259,53 @@ def test_fit_starts_on_a_day_some_record_can_explain(tmp_path):
     assert comp <= 1e-10
 
 
+@pytest.mark.parametrize("record", ["4,0,4", "5,2,7"])
+def test_fit_single_double_record_with_dependent_columns(tmp_path, record):
+    # one pattern makes every weight column a multiple of the others, so the
+    # inner loop adds a column that depends on the support without
+    # duplicating any support column; it gets zero mass instead of failing
+    path = tmp_path / "d.csv"
+    path.write_text(f"e,sl,sr\n{record}\n")
+    out = tmp_path / "fit.csv"
+    code = main(["fit", "--mode", "double", "--data", str(path), "--out", str(out)])
+    assert code == 0
+    data = read_dataset_csv(str(path), "double")
+    masses = np.array([float(row[1]) for row in _read_rows(out)[1:]])
+    min_grad, comp = fenchel_residuals(
+        masses, build_weight_matrix(data, candidate_grid(data))
+    )
+    assert min_grad >= -1e-10
+    assert comp <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--level", "1.5"],
+        ["--level", "0"],
+        ["--points", "0:5"],
+        ["--points", "1:40", "--m1", "15"],
+    ],
+    ids=["level-above-1", "level-0", "day-0", "day-above-m1"],
+)
+@pytest.mark.parametrize("command", ["ci", "coverage"])
+def test_bad_interval_args_fail_before_reading_data(
+    tmp_path, monkeypatch, command, extra
+):
+    calls = []
+    monkeypatch.setattr(incutime.cli, "read_dataset_csv",
+                        lambda *a: calls.append(a))
+    monkeypatch.setattr(incutime.cli, "draw_doubly", lambda *a: calls.append(a))
+    if command == "ci":
+        argv = ["ci", "--data", str(tmp_path / "d.csv")]
+    else:
+        argv = ["coverage", "--n", "100", "--reps", "1"]
+    argv += ["--mode", "double", "--method", "wald", *extra,
+             "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 3
+    assert calls == []
+
+
 def test_exit_code_invalid_input(tmp_path):
     out = str(tmp_path / "x.csv")
     assert main(["fit", "--mode", "single", "--data",
@@ -269,8 +368,15 @@ def test_exit_code_for_every_package_error(tmp_path, monkeypatch, capsys, error,
 
 
 def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats adds about half a second to every command's start-up
-    code = "import incutime.cli, sys; assert 'scipy.stats' not in sys.modules"
+    # scipy.stats adds about half a second to every command's start-up, and
+    # scipy.special, scipy.integrate and scipy.optimize a quarter more; each
+    # command imports what it uses when it uses it
+    unused = ["scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize"]
+    code = (
+        "import incutime.cli, sys; "
+        f"loaded = [m for m in {unused!r} if m in sys.modules]; "
+        "assert not loaded, loaded"
+    )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)

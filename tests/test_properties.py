@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+from hypothesis import HealthCheck, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from incutime import (  # noqa: E402
     Dataset,
     IncutimeError,
     InfeasibleRecordError,
+    NonConvergenceError,
     SingularMatrixError,
     build_weight_matrix,
     candidate_grid,
@@ -127,6 +128,23 @@ def test_fit_is_invariant_to_record_order(data, perm_seed):
     again, _ = fit_npmle(shuffled, grid)
     assert np.array_equal(mass.support, again.support)
     assert np.array_equal(mass.probs, again.probs)
+    min_grad, comp = fenchel_residuals(trace.final_masses, W)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+
+
+@SETTINGS
+@given(data=datasets())
+@example(data=validate_dataset(Dataset.doubly([4], [0], [4])))
+@example(data=validate_dataset(Dataset.doubly([5], [2], [7])))
+def test_fit_meets_the_certificate_or_does_not_converge(data):
+    # a support column that depends linearly on the others gets zero mass,
+    # so a singular normal matrix is no longer a failure of the fit
+    grid = candidate_grid(data)
+    W = weights_or_skip(data, grid)
+    try:
+        _, trace = fit_npmle(data, grid)
+    except NonConvergenceError:
+        return
     min_grad, comp = fenchel_residuals(trace.final_masses, W)
     assert min_grad >= -1e-10 and comp <= 1e-10
 
