@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BootstrapFailureError, IncutimeError
 from .inference import IntervalRow, IntervalTable
 from .model import Dataset, cdf_from_mass
-from .solver import SolverConfig, _initial_support_index, _minimize, fit_weights
+from .solver import SolverConfig, _minimize, fit_weights
 from .weights import WeightMatrix
 
 
@@ -55,34 +55,30 @@ def resample(data: Dataset, seed, replicate_index: int) -> Dataset:
 
 
 def _refit_rows(
-    W: WeightMatrix, idx: np.ndarray, config: SolverConfig, init_index: int | None
+    W: WeightMatrix, idx: np.ndarray, config: SolverConfig
 ) -> tuple[WeightMatrix, np.ndarray]:
     """Refit on the records idx; returns their weight matrix and the masses.
 
-    ``init_index`` None starts where ``fit_weights`` would start on the
-    drawn records, so the refit equals ``fit_weights(W.take(idx))``.
+    The masses are ``fit_weights(W.take(idx), config)``'s grid vector.
     """
     sub = W.take(idx)
-    if init_index is None:
-        init_index = _initial_support_index(sub, config)
-    masses, _ = _minimize(sub, init_index, config)
+    masses, _ = _minimize(sub, config)
     return sub, masses
 
 
-def refit_replicates(
-    W: WeightMatrix, seed, b: int, config: SolverConfig, init_index: int | None = None
-):
+def refit_replicates(W: WeightMatrix, seed, b: int, config: SolverConfig):
     """Refit b bootstrap resamples of the records behind W.
 
-    Replicate k draws the records of ``resample(data, seed, k)``.  Yields,
-    in replicate order, ``(sub, masses)`` with the replicate's weight matrix
-    and fitted grid masses, or None when the refit raises any IncutimeError;
-    the caller decides how many failures it tolerates.
+    Replicate k draws the records of ``resample(data, seed, k)`` and is
+    fitted exactly as ``fit_weights`` fits them.  Yields, in replicate
+    order, ``(sub, masses)`` with the replicate's weight matrix and fitted
+    grid masses, or None when the refit raises any IncutimeError; the
+    caller decides how many failures it tolerates.
     """
     for k in range(b):
         idx = _replicate_indices(seed, k, W.n)
         try:
-            result = _refit_rows(W, idx, config, init_index)
+            result = _refit_rows(W, idx, config)
         except IncutimeError:
             result = None
         yield result
@@ -127,7 +123,6 @@ def bootstrap_ci(
         if day < 1 or day > m1:
             raise ValueError(f"evaluation day {day} outside 1..{m1}")
 
-    init_index = int(np.argmax(mass.as_vector(grid)))
     estimates = np.array([fhat.value(d) for d in points])
     # grid point j covers days grid.points[j] ..; value at day d is the
     # partial sum over grid points <= d.
@@ -135,10 +130,7 @@ def bootstrap_ci(
     deltas = np.empty((config.b, len(points)))
     failed = 0
     kept = 0
-    replicates = refit_replicates(
-        weights, config.seed, config.b, solver_config, init_index
-    )
-    for result in replicates:
+    for result in refit_replicates(weights, config.seed, config.b, solver_config):
         if result is None:
             failed += 1
             continue

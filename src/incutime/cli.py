@@ -177,17 +177,15 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data, args.mode)
     grid = candidate_grid(data, args.m1)
-    config = SolverConfig(
-        tol=args.tol, max_outer=args.max_outer, init_point=args.init_point
-    )
+    config = SolverConfig(tol=args.tol, max_outer=args.max_outer)
     weights = build_weight_matrix(data, grid)
     try:
         mass, trace = fit_weights(weights, config)
     except NonConvergenceError as exc:
+        # keep the partial trace; main maps the error to its exit code
         if args.trace_out and exc.trace is not None:
             exc.trace.write(args.trace_out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise
     fhat = cdf_from_mass(mass, grid)
     _write_estimate_csv(args.out, mass, fhat, grid)
     if args.trace_out:
@@ -202,6 +200,8 @@ def _check_interval_args(args) -> None:
     for day in args.points or []:
         if day < 1 or (args.m1 is not None and day > args.m1):
             raise ValueError(f"evaluation day {day} outside 1..{args.m1 or 'm1'}")
+    if args.method == "bootstrap" and args.b < 2:
+        raise ValueError("--method bootstrap needs --b >= 2")
     if args.fisher_averaged:
         if args.mode != DOUBLE or args.method != "wald":
             raise ValueError(
@@ -233,7 +233,7 @@ def cmd_ci(args) -> int:
     grid = candidate_grid(data, args.m1)
     horizon = args.m1 if args.m1 is not None else int(grid.points[-1])
     points = args.points if args.points is not None else list(range(1, horizon + 1))
-    solver_config = SolverConfig(init_point=args.init_point)
+    solver_config = SolverConfig()
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_weights(weights, solver_config)
     table = _interval_table(weights, mass, args, horizon, points, solver_config)
@@ -334,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--m1", type=int, default=None,
         help="incubation support bound (default: inferred from the data)",
     )
-    p.add_argument("--init-point", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-outer", type=int, default=500)
     p.add_argument("--out", required=True, help="estimate CSV path")
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         help='evaluation days, "lo:hi" or "d1,d2,..." (default: 1..m1)',
     )
     p.add_argument("--m1", type=int, default=None)
-    p.add_argument("--init-point", type=int, default=None)
     p.add_argument(
         "--b", type=int, default=1000,
         help="replicates for bootstrap or Fisher averaging (default 1000)",
@@ -381,7 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicates for bootstrap or Fisher averaging (default 1000)",
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fisher-averaged", action="store_true")
+    p.add_argument(
+        "--fisher-averaged", action="store_true",
+        help="use the mean inverse information over --b resampled refits "
+        "(double mode wald only)",
+    )
     p.add_argument("--out", required=True, help="coverage CSV path")
     p.set_defaults(func=cmd_coverage)
 

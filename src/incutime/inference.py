@@ -139,9 +139,9 @@ def averaged_inverse_information(
     plain matrix of that single resample.
 
     Replicates come from the bootstrap's replicate engine: each one reweights
-    the rows of the fit's weight matrix and starts its refit where
-    ``fit_weights`` would start on the drawn records, so no dataset is
-    copied and no weight is evaluated twice.
+    the rows of the fit's weight matrix and refits them exactly as
+    ``fit_weights`` would, so no dataset is copied and no weight is
+    evaluated twice.
     """
     from .bootstrap import check_replicate_failures, refit_replicates
 

@@ -87,14 +87,19 @@ class Dataset:
 
 
 def _as_int_column(values: np.ndarray, name: str) -> np.ndarray:
-    """Coerce a column to int64, rejecting non-integral entries by record."""
+    """Coerce a column to int64, rejecting non-integral entries by record.
+
+    A non-finite entry, or one outside the int64 range, is rejected the same
+    way, so the cast never wraps it around.
+    """
     arr = np.asarray(values)
     if arr.dtype.kind not in "iu":
         rounded = np.floor(arr)
-        bad = np.flatnonzero(arr != rounded)
+        bad = np.flatnonzero((arr != rounded) | ~(np.abs(rounded) < 2.0**63))
         if bad.size:
             raise DatasetValidationError(
-                f"{name} = {arr[bad[0]]} is not an integer", record_index=int(bad[0])
+                f"{name} = {arr[bad[0]]} is not an integer in the int64 range",
+                record_index=int(bad[0]),
             )
         arr = rounded
     return arr.astype(np.int64)
@@ -175,12 +180,6 @@ class Grid:
     @property
     def size(self) -> int:
         return int(self.points.size)
-
-    def index_of(self, day: int) -> int:
-        pos = int(np.searchsorted(self.points, day))
-        if pos == self.size or self.points[pos] != day:
-            raise ValueError(f"day {day} is not a grid point")
-        return pos
 
 
 def candidate_grid(data: Dataset, m1: int | None = None) -> Grid:

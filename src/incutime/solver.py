@@ -14,7 +14,12 @@ is certified by the two cone optimality conditions
 both enforced at ``SolverConfig.tol``.  Each outer iteration minimizes the
 local quadratic expansion of phi over the cone by alternately growing and
 shrinking a candidate support set, then takes a backtracking (Armijo) step
-toward the subproblem solution.
+toward the subproblem solution.  Every fit starts at the uniform vector with
+an empty support, so its first inner pass admits the day with the most
+negative model gradient first; a day no record can explain has gradient +1
+and is never admitted.  Later passes start from the previous support.  Each
+subproblem is solved exactly, so no other first working set could change a
+non-degenerate fit.
 
 Identical records give identical terms, so every sum over records is taken
 as a count-weighted sum over the distinct records (the rows of the
@@ -50,14 +55,10 @@ class SolverConfig:
 
     tol:         certificate tolerance for both optimality conditions
     max_outer:   outer iteration cap
-    init_point:  optional starting support day (defaults to the grid point
-                 nearest the median observed onset among those that carry
-                 weight for some record)
     """
 
     tol: float = 1e-10
     max_outer: int = 500
-    init_point: int | None = None
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,11 @@ def _inner_loop(
 
     Alternates between dropping the most negative mass point and adding the
     off-support point with the most negative model gradient, re-solving the
-    normal equations after every change.
+    normal equations after every change.  ``start_support`` holds sorted,
+    distinct grid indices: empty on a fit's first pass, the previous pass's
+    support after that.
     """
-    support = sorted(set(int(j) for j in start_support))
+    support = list(start_support)
     masses = model.solve(support)
     just_added: int | None = None
     for _ in range(10 * m + 100):
@@ -250,41 +253,12 @@ def armijo_search(
     raise LineSearchError("no acceptable step length above 1e-15")
 
 
-def _median_center(weights: WeightMatrix) -> float:
-    """Median onset centre of the records, from the pattern centres and counts.
-
-    Equals ``np.median`` over the records: the two middle order statistics
-    are found by rank in the cumulative counts and averaged.
-    """
-    order = np.argsort(weights.centers, kind="stable")
-    ranked = weights.centers[order]
-    cum = np.cumsum(weights.counts[order])
-    n = weights.n
-    lo, hi = np.searchsorted(cum, [(n - 1) // 2, n // 2], side="right")
-    return float((ranked[lo] + ranked[hi]) / 2.0)
-
-
-def _initial_support_index(weights: WeightMatrix, config: SolverConfig) -> int:
-    """Grid index of the first support point.
-
-    ``config.init_point`` if given, else the grid day nearest the median
-    onset among the days whose weight column is nonzero: a day no record
-    can explain would start the solver on an all-zero normal matrix.
-    """
-    grid = weights.grid
-    if config.init_point is not None:
-        return grid.index_of(int(config.init_point))
-    live = (weights.dense > 0.0).any(axis=0)
-    distance = np.abs(grid.points - _median_center(weights))
-    return int(np.argmin(np.where(live, distance, np.inf)))
-
-
 def _minimize(
-    weights: WeightMatrix, init_index: int, config: SolverConfig
+    weights: WeightMatrix, config: SolverConfig
 ) -> tuple[np.ndarray, IterationTrace]:
     m = weights.m
     current = np.full(m, 1.0 / m)
-    support = [init_index]
+    support: list[int] = []
     trace = IterationTrace()
     min_grad, comp = fenchel_residuals(current, weights)
     iteration = 0
@@ -343,9 +317,7 @@ def fit_weights(
         If no certificate is reached within ``config.max_outer`` iterations,
         or the quadratic subproblem does not settle.
     """
-    config = config or SolverConfig()
-    init_index = _initial_support_index(weights, config)
-    masses, trace = _minimize(weights, init_index, config)
+    masses, trace = _minimize(weights, config or SolverConfig())
     positive = masses > 0.0
     fitted = MassFunction(support=weights.grid.points[positive], probs=masses[positive])
     return fitted, trace

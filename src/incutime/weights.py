@@ -71,9 +71,7 @@ class WeightMatrix:
     grid point; ``counts`` says how many records share each row, and
     ``record_rows`` maps every record to its row.  A matrix built by hand
     from per-record rows needs neither: counts default to ones and the
-    record map lists the records row by row.  ``centers`` holds each row's
-    onset centre (s, or (s_l + s_r) / 2), which places the default starting
-    support.
+    record map lists the records row by row.
 
     Rows touch only a handful of grid points, but at these sizes dense
     vectorized products beat sparse row iteration, so the dense block is the
@@ -84,7 +82,6 @@ class WeightMatrix:
     grid: Grid
     counts: np.ndarray | None = None
     record_rows: np.ndarray | None = None
-    centers: np.ndarray | None = None
 
     def __post_init__(self):
         rows = self.dense.shape[0]
@@ -133,7 +130,6 @@ class WeightMatrix:
             grid=self.grid,
             counts=counts[keep],
             record_rows=new_row[drawn],
-            centers=None if self.centers is None else self.centers[keep],
         )
 
 
@@ -170,14 +166,10 @@ def build_weight_matrix(data: Dataset, grid: Grid) -> WeightMatrix:
     if data.mode == SINGLE:
         s = data.s[first]
         dense = ((pts > (s - data.e[first])[:, None]) & (pts <= s[:, None])).astype(float)
-        centers = s.astype(float)
     else:
         e, s_l, s_r = (col[first] for col in columns)
         dense = window_weight(e[:, None], s_l[:, None], s_r[:, None], pts)
-        centers = (s_l + s_r) / 2.0
     infeasible = ~(dense > 0.0).any(axis=1)
     if infeasible.any():
         raise InfeasibleRecordError(int(first[infeasible].min()))
-    return WeightMatrix(
-        dense=dense, grid=grid, counts=counts, record_rows=record_rows, centers=centers
-    )
+    return WeightMatrix(dense=dense, grid=grid, counts=counts, record_rows=record_rows)

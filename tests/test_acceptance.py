@@ -22,7 +22,6 @@ from incutime import (
     DegenerateFitError,
     InfeasibleRecordError,
     MassFunction,
-    SolverConfig,
     bootstrap_ci,
     candidate_grid,
     cdf_from_mass,
@@ -395,7 +394,7 @@ def test_criterion_11_reference_dataset_trace():
         pytest.skip("reference dataset not supplied")
     data = read_dataset_csv(path, "single")
     grid = candidate_grid(data)
-    mass, trace = fit_npmle(data, grid, SolverConfig(init_point=10))
+    mass, trace = fit_npmle(data, grid)
     row7 = next(row for row in trace.rows if row.iteration == 7)
     gap = abs(row7.criterion - 1.4522973319)
     support_ok = mass.support.tolist() == [3, 4, 5, 6, 7, 8, 9]

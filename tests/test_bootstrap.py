@@ -12,8 +12,9 @@ from incutime import (
     fit_npmle,
     validate_dataset,
 )
-from incutime.bootstrap import resample
-from incutime.simulate import ExposureSpec, TruthSpec, draw_singly
+from incutime.bootstrap import _replicate_indices, refit_replicates, resample
+from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
+from incutime.solver import SolverConfig, fit_weights
 
 TRUNCEXP = TruthSpec(family="truncexp", a=6.0, m1=15)
 
@@ -91,7 +92,7 @@ def test_bootstrap_internal_fit_matches_supplied_mass():
 def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
     import incutime.bootstrap as bootstrap_module
 
-    def always_stalls(W, idx, config, init_index):
+    def always_stalls(W, idx, config):
         raise NonConvergenceError("forced failure")
 
     monkeypatch.setattr(bootstrap_module, "_refit_rows", always_stalls)
@@ -125,3 +126,16 @@ def test_bootstrap_rejects_points_outside_horizon():
         bootstrap_ci(
             build_weight_matrix(data, grid), BootstrapConfig(b=10, seed=0, points=(16,))
         )
+
+
+@pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
+def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
+    # one start for every fit: the bootstrap and Fisher averaging refit a
+    # replicate exactly as fit_weights fits its rows
+    data = draw(300, TRUNCEXP, ExposureSpec(m2=15), seed=88)
+    W = build_weight_matrix(data, candidate_grid(data, m1=15))
+    config = SolverConfig()
+    replicates = refit_replicates(W, 3, 4, config)
+    for k, (_, masses) in enumerate(replicates):
+        _, trace = fit_weights(W.take(_replicate_indices(3, k, W.n)), config)
+        assert np.array_equal(masses, trace.final_masses)

@@ -87,6 +87,11 @@ READER_CASES = {
     ),
     "non-numeric cell": ("e,s\n1,2\n1,x\n", "single", (ValueError, None)),
     "fractional cell": ("e,s\n1,2\n2,3.5\n", "single", (DatasetValidationError, 1)),
+    "infinite cell": ("e,s\n1,2\n1,inf\n", "single", (DatasetValidationError, 1)),
+    "negative infinite cell": ("e,s\n-inf,2\n", "single", (DatasetValidationError, 0)),
+    "cell beyond int64": (
+        "e,sl,sr\n1,0,2\n1,0,1e300\n", "double", (DatasetValidationError, 1)
+    ),
     "quoted cells": (
         '"e","s"\n"1","2"\n"3","4"\n', "single", Dataset.singly([1, 3], [2, 4])
     ),
@@ -220,13 +225,19 @@ def test_ci_bootstrap_is_reproducible(tmp_path):
 def test_exit_code_non_convergence(tmp_path):
     data_path = str(tmp_path / "d.csv")
     out = str(tmp_path / "fit.csv")
+    trace_out = tmp_path / "trace.csv"
     main(["simulate", "--mode", "single", "--n", "200", "--seed", "5",
           "--out", data_path])
     code = main(
         ["fit", "--mode", "single", "--data", data_path, "--m1", "15",
-         "--max-outer", "1", "--out", out]
+         "--max-outer", "1", "--out", out, "--trace-out", str(trace_out)]
     )
     assert code == 2
+    # the partial trace is still written: the header and the one iteration
+    rows = _read_rows(trace_out)
+    assert rows[0] == ["iter", "criterion", "min_grad", "complementarity",
+                       "support_size"]
+    assert [r[0] for r in rows[1:]] == ["1"]
 
 
 def test_exit_code_inner_loop_failure(tmp_path, monkeypatch):
@@ -244,8 +255,8 @@ def test_exit_code_inner_loop_failure(tmp_path, monkeypatch):
 
 
 def test_fit_starts_on_a_day_some_record_can_explain(tmp_path):
-    # the median onset centre is 2.5, and day 2 carries no weight for either
-    # record; starting the support there made the normal matrix singular
+    # day 2 carries no weight for either record, so its weight column is
+    # zero; a support holding it would make the normal matrix singular
     path = tmp_path / "d.csv"
     path.write_text("e,sl,sr\n3,0,1\n1,3,6\n")
     out = tmp_path / "fit.csv"
@@ -285,8 +296,9 @@ def test_fit_single_double_record_with_dependent_columns(tmp_path, record):
         ["--level", "0"],
         ["--points", "0:5"],
         ["--points", "1:40", "--m1", "15"],
+        ["--method", "bootstrap", "--b", "1"],
     ],
-    ids=["level-above-1", "level-0", "day-0", "day-above-m1"],
+    ids=["level-above-1", "level-0", "day-0", "day-above-m1", "bootstrap-b-1"],
 )
 @pytest.mark.parametrize("command", ["ci", "coverage"])
 def test_bad_interval_args_fail_before_reading_data(
@@ -427,12 +439,12 @@ def test_exit_code_fisher_averaging_failures(tmp_path, monkeypatch):
     refit_rows = bootstrap_module._refit_rows
     calls = []
 
-    def first_three_stall(W, idx, config, init_index):
+    def first_three_stall(W, idx, config):
         # 3 of 20 is above the 10 percent the bootstrap also tolerates
         calls.append(idx)
         if len(calls) <= 3:
             raise NonConvergenceError("forced failure")
-        return refit_rows(W, idx, config, init_index)
+        return refit_rows(W, idx, config)
 
     data_path = str(tmp_path / "d.csv")
     main(["simulate", "--mode", "double", "--n", "200", "--seed", "5",

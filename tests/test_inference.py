@@ -250,7 +250,7 @@ def test_fisher_result_rejects_single_point_fit():
 def test_fisher_averaging_fails_loudly_when_refits_collapse(monkeypatch):
     import incutime.bootstrap as bootstrap_module
 
-    def always_stalls(W, idx, config, init_index):
+    def always_stalls(W, idx, config):
         raise NonConvergenceError("forced failure")
 
     data = draw_doubly(200, TruthSpec(family="truncexp", a=6.0, m1=15),

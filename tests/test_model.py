@@ -140,13 +140,6 @@ def test_candidate_grid_with_known_support_bound():
     assert grid.m1 == 15 and grid.m2 == 5
 
 
-def test_grid_index_of():
-    grid = Grid(points=[2, 5, 9])
-    assert grid.index_of(5) == 1
-    with pytest.raises(ValueError):
-        grid.index_of(4)
-
-
 def test_grid_rejects_unsorted_points():
     with pytest.raises(ValueError):
         Grid(points=[3, 2])

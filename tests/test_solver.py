@@ -110,7 +110,7 @@ def test_outer_iterations_converge_to_multinomial_proportions():
     config = SolverConfig()
     from incutime.solver import _minimize
 
-    masses, trace = _minimize(W, 0, config)
+    masses, trace = _minimize(W, config)
     assert trace.converged
     assert np.allclose(masses, [0.75, 0.25], atol=1e-9)
 
@@ -242,3 +242,30 @@ def test_resampled_refits_converge_despite_tiny_predicted_decrease():
         BootstrapConfig(b=300, seed=0, points=(4, 6, 8)),
     )
     assert table.metadata["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(2, 2, 3), (2, 4, 7)],
+        [(2, 4, 8), (5, 1, 5)],
+        [(3, 5, 8), (4, 3, 4)],
+    ],
+    ids=["2,2,3+2,4,7", "2,4,8+5,1,5", "3,5,8+4,3,4"],
+)
+def test_two_record_double_datasets_with_non_unique_optimum_converge(rows):
+    # two distinct records make the likelihood optimum non-unique in p; only
+    # the pattern probabilities W @ p are determined, and fit_em reaches them
+    from incutime.em import fit_em
+
+    e, s_l, s_r = zip(*rows)
+    data = validate_dataset(Dataset.doubly(e, s_l, s_r))
+    grid = candidate_grid(data)
+    W = build_weight_matrix(data, grid)
+    _, trace = fit_npmle(data, grid)
+    p = trace.final_masses
+    min_grad, comp = fenchel_residuals(p, W)
+    assert min_grad >= -1e-10
+    assert comp <= 1e-10
+    reference = fit_em(data, grid).as_vector(grid)
+    np.testing.assert_allclose(W.dense @ p, W.dense @ reference, rtol=0, atol=1e-8)
