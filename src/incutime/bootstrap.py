@@ -9,9 +9,13 @@ F*_b(t) - F_hat(t): the level-alpha interval at day t is
 A resample is a multinomial reweighting of the records (Efron & Tibshirani,
 1993), so a replicate never materializes a dataset: its drawn record indices
 are reduced to counts over the distinct-record rows of the fit's weight
-matrix, and the refit runs on the rows that occur.  ``refit_replicates`` is
-the one replicate engine behind both the bootstrap and Fisher averaging, and
-``check_replicate_failures`` their one failure policy.
+matrix, and the refit runs on the rows that occur.  Those rows are a subset
+of the fit's, so the point fit's masses give every one of them a positive
+term, and each refit starts there (with an empty first working set) instead
+of at the uniform vector: it needs fewer outer iterations to reach the same
+certificate.  ``refit_replicates`` is the one replicate engine behind both
+the bootstrap and Fisher averaging, and ``check_replicate_failures`` their
+one failure policy.
 """
 
 from __future__ import annotations
@@ -55,33 +59,48 @@ def resample(data: Dataset, seed, replicate_index: int) -> Dataset:
 
 
 def _refit_rows(
-    W: WeightMatrix, idx: np.ndarray, config: SolverConfig
+    W: WeightMatrix, idx: np.ndarray, config: SolverConfig, start: np.ndarray
 ) -> tuple[WeightMatrix, np.ndarray]:
-    """Refit on the records idx; returns their weight matrix and the masses.
+    """Refit on the records idx from the grid masses start.
 
-    The masses are ``fit_weights(W.take(idx), config)``'s grid vector.
+    Returns the records' weight matrix and the fitted grid masses.
     """
     sub = W.take(idx)
-    masses, _ = _minimize(sub, config)
+    masses, _ = _minimize(sub, config, start)
     return sub, masses
 
 
-def refit_replicates(W: WeightMatrix, seed, b: int, config: SolverConfig):
+def refit_replicates(
+    W: WeightMatrix, seed, b: int, config: SolverConfig, start: np.ndarray
+):
     """Refit b bootstrap resamples of the records behind W.
 
-    Replicate k draws the records of ``resample(data, seed, k)`` and is
-    fitted exactly as ``fit_weights`` fits them.  Yields, in replicate
-    order, ``(sub, masses)`` with the replicate's weight matrix and fitted
-    grid masses, or None when the refit raises any IncutimeError; the
-    caller decides how many failures it tolerates.
+    Replicate k draws the records of ``resample(data, seed, k)``, and its
+    refit starts at ``start``, the point fit's grid masses.  Returns an
+    iterator that yields, in replicate order, ``(sub, masses)`` with the
+    replicate's weight matrix and fitted grid masses, or None when the refit
+    raises any IncutimeError; the caller decides how many failures it
+    tolerates.
+
+    Raises ValueError, before any replicate is drawn, when ``start`` gives
+    some record of W a zero likelihood term: every refit would fail there.
     """
-    for k in range(b):
-        idx = _replicate_indices(seed, k, W.n)
-        try:
-            result = _refit_rows(W, idx, config)
-        except IncutimeError:
-            result = None
-        yield result
+    bad = np.flatnonzero(W.dense @ start <= 0.0)
+    if bad.size:
+        raise ValueError(
+            f"start masses give record {W.record_of(int(bad[0]))} zero probability"
+        )
+
+    def refits():
+        for k in range(b):
+            idx = _replicate_indices(seed, k, W.n)
+            try:
+                result = _refit_rows(W, idx, config, start)
+            except IncutimeError:
+                result = None
+            yield result
+
+    return refits()
 
 
 def check_replicate_failures(failed: int, total: int, what: str) -> None:
@@ -105,9 +124,11 @@ def bootstrap_ci(
     """Percentile bootstrap intervals at the requested days.
 
     ``weights`` is the fit's matrix; the point estimate is refitted from it
-    when ``mass`` is omitted.  Raises BootstrapFailureError when more than 10
-    percent of replicates fail to refit; failures below that threshold are
-    dropped from the quantiles.
+    when ``mass`` is omitted.  Every replicate refit starts at the point
+    estimate's masses, so a supplied ``mass`` must give every record a
+    positive probability (ValueError otherwise).  Raises
+    BootstrapFailureError when more than 10 percent of replicates fail to
+    refit; failures below that threshold are dropped from the quantiles.
     """
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
@@ -130,7 +151,10 @@ def bootstrap_ci(
     deltas = np.empty((config.b, len(points)))
     failed = 0
     kept = 0
-    for result in refit_replicates(weights, config.seed, config.b, solver_config):
+    replicates = refit_replicates(
+        weights, config.seed, config.b, solver_config, mass.as_vector(grid)
+    )
+    for result in replicates:
         if result is None:
             failed += 1
             continue

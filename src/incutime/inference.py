@@ -120,43 +120,45 @@ def observed_fisher(
 def averaged_inverse_information(
     weights: WeightMatrix,
     solver_config: SolverConfig,
-    support: np.ndarray,
+    masses: np.ndarray,
     b: int,
     seed,
 ) -> tuple[np.ndarray, int]:
     """Mean inverse observed information over resampled-and-refitted datasets.
 
-    Each replicate resamples the records, refits the masses, evaluates the
-    observed information on the given (original) support with the replicate's
-    own fit in the denominators, and inverts it.  The inverses are averaged,
-    not the matrices: a mean of inverses dominates the inverse of the mean,
-    and that inflation is what widens the intervals relative to the
-    single-sample matrix (averaging the matrices reproduces the single-sample
-    variances almost exactly and gains nothing).  Replicates whose refit
-    fails, degenerates, or yields a singular matrix are skipped and counted;
-    more than 10 percent of them skipped raises BootstrapFailureError, the
-    bootstrap's policy.  Averaging over b = 1 reproduces the inverse of the
-    plain matrix of that single resample.
+    ``masses`` is the point fit's grid mass vector.  Each replicate resamples
+    the records, refits the masses, evaluates the observed information on the
+    point fit's support with the replicate's own fit in the denominators, and
+    inverts it.  The inverses are averaged, not the matrices: a mean of
+    inverses dominates the inverse of the mean, and that inflation is what
+    widens the intervals relative to the single-sample matrix (averaging the
+    matrices reproduces the single-sample variances almost exactly and gains
+    nothing).  Replicates whose refit fails, degenerates, or yields a
+    singular matrix are skipped and counted; more than 10 percent of them
+    skipped raises BootstrapFailureError, the bootstrap's policy.  Averaging
+    over b = 1 reproduces the inverse of the plain matrix of that single
+    resample.
 
     Replicates come from the bootstrap's replicate engine: each one reweights
-    the rows of the fit's weight matrix and refits them exactly as
-    ``fit_weights`` would, so no dataset is copied and no weight is
-    evaluated twice.
+    the rows of the fit's weight matrix, so no dataset is copied and no
+    weight is evaluated twice, and refits them starting at ``masses`` with
+    an empty first working set.
     """
     from .bootstrap import check_replicate_failures, refit_replicates
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
+    support = weights.grid.points[masses > 0.0]
     total = None
     used = 0
     skipped = 0
-    for result in refit_replicates(weights, seed, b, solver_config):
+    for result in refit_replicates(weights, seed, b, solver_config, masses):
         if result is None:
             skipped += 1
             continue
-        sub, masses = result
+        sub, refit = result
         try:
-            fisher = observed_fisher(sub, masses, support)
+            fisher = observed_fisher(sub, refit, support)
             inverse = spd_invert(fisher)
         except (DegenerateFitError, SingularMatrixError):
             skipped += 1
@@ -279,12 +281,13 @@ def fisher_result(
         )
     skipped = 0
     used_pinv = False
+    masses = mass.as_vector(weights.grid)
     if averaging is None:
-        fisher = observed_fisher(weights, mass.as_vector(weights.grid), support)
+        fisher = observed_fisher(weights, masses, support)
         inverse, used_pinv = _invert_information(fisher)
     else:
         inverse, skipped = averaged_inverse_information(
-            weights, solver_config or SolverConfig(), support, averaging, seed
+            weights, solver_config or SolverConfig(), masses, averaging, seed
         )
     variances = extend_variances(_partial_sum_covariance(inverse), support, m1)
     return FisherResult(

@@ -14,12 +14,16 @@ is certified by the two cone optimality conditions
 both enforced at ``SolverConfig.tol``.  Each outer iteration minimizes the
 local quadratic expansion of phi over the cone by alternately growing and
 shrinking a candidate support set, then takes a backtracking (Armijo) step
-toward the subproblem solution.  Every fit starts at the uniform vector with
-an empty support, so its first inner pass admits the day with the most
+toward the subproblem solution.  A fit starts at the uniform vector, and a
+bootstrap or Fisher-averaging replicate refit at the point fit's masses,
+which give every replicate record a positive term.  Either way the first
+inner pass starts from an empty support, so it admits the day with the most
 negative model gradient first; a day no record can explain has gradient +1
 and is never admitted.  Later passes start from the previous support.  Each
 subproblem is solved exactly, so no other first working set could change a
-non-degenerate fit.
+non-degenerate fit.  The likelihood terms sum_j p_j w_i(j) of an iterate are
+computed once, where the line search accepts it, and handed on to the
+certificate check, the trace row and the next quadratic model.
 
 Identical records give identical terms, so every sum over records is taken
 as a count-weighted sum over the distinct records (the rows of the
@@ -93,7 +97,11 @@ class IterationTrace:
 
 
 def _positive_terms(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    """sum_j p_j w_i(j) per pattern; raises if any of them vanishes."""
+    """sum_j p_j w_i(j) per pattern; raises if any of them vanishes.
+
+    The functions below that take ``terms`` take these terms of their point
+    p from a caller that already holds them, and compute them when omitted.
+    """
     terms = weights.dense @ p
     bad = np.flatnonzero(terms <= 0.0)
     if bad.size:
@@ -101,21 +109,25 @@ def _positive_terms(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     return terms
 
 
-def phi(p: np.ndarray, weights: WeightMatrix) -> float:
+def phi(p: np.ndarray, weights: WeightMatrix, terms=None) -> float:
     """Criterion value; raises if any likelihood term vanishes."""
-    terms = _positive_terms(p, weights)
+    if terms is None:
+        terms = _positive_terms(p, weights)
     return float(-(weights.counts @ np.log(terms)) / weights.n + p.sum() - 1.0)
 
 
-def phi_gradient(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
+def phi_gradient(p: np.ndarray, weights: WeightMatrix, terms=None) -> np.ndarray:
     """dphi/dp_j = 1 - (1/n) sum_i w_i(j) / (sum_k p_k w_i(k))."""
-    terms = _positive_terms(p, weights)
+    if terms is None:
+        terms = _positive_terms(p, weights)
     return 1.0 - (weights.dense.T @ (weights.counts / terms)) / weights.n
 
 
-def fenchel_residuals(p: np.ndarray, weights: WeightMatrix) -> tuple[float, float]:
+def fenchel_residuals(
+    p: np.ndarray, weights: WeightMatrix, terms=None
+) -> tuple[float, float]:
     """(min over the full grid of dphi/dp_j, |<p, grad phi>|)."""
-    grad = phi_gradient(p, weights)
+    grad = phi_gradient(p, weights, terms)
     return float(grad.min()), float(abs(p @ grad))
 
 
@@ -130,8 +142,8 @@ class _QuadraticModel:
     over the cone is a projected Newton step.
     """
 
-    def __init__(self, weights: WeightMatrix, p0: np.ndarray):
-        d = _positive_terms(p0, weights)
+    def __init__(self, weights: WeightMatrix, p0: np.ndarray, terms=None):
+        d = _positive_terms(p0, weights) if terms is None else terms
         # rows scaled by sqrt(count) / d_i, so that the count-weighted sums
         # are plain products and the Gram matrix is exactly symmetric
         root = weights.root_counts
@@ -218,49 +230,64 @@ def armijo_search(
     p0: np.ndarray,
     p_target: np.ndarray,
     weights: WeightMatrix,
-) -> tuple[np.ndarray, float]:
+    terms=None,
+) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Backtrack along the segment from p0 to p_target until phi decreases enough.
 
-    Returns the accepted iterate and the step length alpha.  Infeasible trial
-    points count as infinite criterion values.  Gives up below alpha = 1e-15.
+    ``terms`` are p0's likelihood terms.  Returns ``(p, alpha, terms, value)``:
+    the accepted iterate, the step length, and the iterate's likelihood terms
+    and criterion value, which the caller reuses instead of evaluating them
+    again.  Infeasible trial points count as infinite criterion values.
+    Gives up below alpha = 1e-15.
     """
+    if terms is None:
+        terms = _positive_terms(p0, weights)
+    base = phi(p0, weights, terms)
     delta = p_target - p0
     if not np.any(delta):
-        return p0.copy(), 1.0
-    slope = float(phi_gradient(p0, weights) @ delta)
-    base = phi(p0, weights)
+        return p0.copy(), 1.0, terms, base
+    slope = float(phi_gradient(p0, weights, terms) @ delta)
     resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(base))
     if ARMIJO_C * abs(slope) <= resolution:
         # the predicted decrease is below the floating point resolution of
         # the criterion, so no backtracking test can verify it; take the
         # full step unless it visibly increases the criterion
         try:
-            value = phi(p_target, weights)
+            target_terms = _positive_terms(p_target, weights)
+            value = phi(p_target, weights, target_terms)
         except InfeasiblePointError:
             value = np.inf
         if value <= base + resolution:
-            return p_target.copy(), 1.0
+            return p_target.copy(), 1.0, target_terms, value
     alpha = 1.0
     while alpha >= 1e-15:
         trial = p0 + alpha * delta
         try:
-            value = phi(trial, weights)
+            trial_terms = _positive_terms(trial, weights)
+            value = phi(trial, weights, trial_terms)
         except InfeasiblePointError:
             value = np.inf
         if value <= base + ARMIJO_C * alpha * slope:
-            return trial, alpha
+            return trial, alpha, trial_terms, value
         alpha *= ARMIJO_SHRINK
     raise LineSearchError("no acceptable step length above 1e-15")
 
 
 def _minimize(
-    weights: WeightMatrix, config: SolverConfig
+    weights: WeightMatrix, config: SolverConfig, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, IterationTrace]:
+    """Certified minimizer of phi over the cone and the outer iteration trace.
+
+    ``start`` is the first iterate, the uniform vector when omitted; every
+    likelihood term must be positive there.  The first inner pass starts
+    from an empty support whatever the start.
+    """
     m = weights.m
-    current = np.full(m, 1.0 / m)
+    current = np.full(m, 1.0 / m) if start is None else np.array(start, dtype=float)
+    terms = _positive_terms(current, weights)
     support: list[int] = []
     trace = IterationTrace()
-    min_grad, comp = fenchel_residuals(current, weights)
+    min_grad, comp = fenchel_residuals(current, weights, terms)
     iteration = 0
     while min_grad < -config.tol or comp > config.tol:
         iteration += 1
@@ -270,21 +297,21 @@ def _minimize(
                 f"no optimality certificate after {config.max_outer} outer iterations",
                 trace=trace,
             )
-        model = _QuadraticModel(weights, current)
+        model = _QuadraticModel(weights, current, terms)
         target, support = _inner_loop(model, support, m, INNER_TOL)
         try:
-            current, _ = armijo_search(current, target, weights)
+            current, _, terms, value = armijo_search(current, target, weights, terms)
         except LineSearchError:
             trace.final_masses = current
             raise NonConvergenceError(
                 "line search stalled before reaching the certificate tolerance",
                 trace=trace,
             ) from None
-        min_grad, comp = fenchel_residuals(current, weights)
+        min_grad, comp = fenchel_residuals(current, weights, terms)
         trace.rows.append(
             TraceRow(
                 iteration=iteration,
-                criterion=phi(current, weights),
+                criterion=value,
                 min_gradient=min_grad,
                 complementarity=comp,
                 support_size=int(np.count_nonzero(current > 0.0)),

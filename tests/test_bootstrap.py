@@ -5,6 +5,7 @@ from incutime import (
     BootstrapConfig,
     BootstrapFailureError,
     Dataset,
+    MassFunction,
     NonConvergenceError,
     bootstrap_ci,
     build_weight_matrix,
@@ -14,7 +15,7 @@ from incutime import (
 )
 from incutime.bootstrap import _replicate_indices, refit_replicates, resample
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
-from incutime.solver import SolverConfig, fit_weights
+from incutime.solver import SolverConfig, _minimize, fenchel_residuals, fit_weights
 
 TRUNCEXP = TruthSpec(family="truncexp", a=6.0, m1=15)
 
@@ -92,7 +93,7 @@ def test_bootstrap_internal_fit_matches_supplied_mass():
 def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
     import incutime.bootstrap as bootstrap_module
 
-    def always_stalls(W, idx, config):
+    def always_stalls(W, idx, config, start):
         raise NonConvergenceError("forced failure")
 
     monkeypatch.setattr(bootstrap_module, "_refit_rows", always_stalls)
@@ -130,12 +131,49 @@ def test_bootstrap_rejects_points_outside_horizon():
 
 @pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
 def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
-    # one start for every fit: the bootstrap and Fisher averaging refit a
-    # replicate exactly as fit_weights fits its rows
+    # a replicate refit is _minimize on the drawn rows started at the point
+    # fit's masses; it meets the certificate on its own matrix and agrees
+    # with a cold fit of the same rows up to the certificate's slack
     data = draw(300, TRUNCEXP, ExposureSpec(m2=15), seed=88)
     W = build_weight_matrix(data, candidate_grid(data, m1=15))
     config = SolverConfig()
-    replicates = refit_replicates(W, 3, 4, config)
-    for k, (_, masses) in enumerate(replicates):
-        _, trace = fit_weights(W.take(_replicate_indices(3, k, W.n)), config)
-        assert np.array_equal(masses, trace.final_masses)
+    _, point_trace = fit_weights(W, config)
+    p_hat = point_trace.final_masses
+    replicates = refit_replicates(W, 3, 4, config, p_hat)
+    for k, (sub, masses) in enumerate(replicates):
+        drawn = W.take(_replicate_indices(3, k, W.n))
+        warm, _ = _minimize(drawn, config, start=p_hat)
+        assert np.array_equal(masses, warm)
+        min_grad, comp = fenchel_residuals(masses, sub)
+        assert min_grad >= -1e-10 and comp <= 1e-10
+        _, cold = fit_weights(drawn, config)
+        np.testing.assert_allclose(
+            sub.dense @ masses, sub.dense @ cold.final_masses, rtol=0, atol=1e-8
+        )
+
+
+def test_replicate_start_without_positive_terms_is_rejected_before_any_draw(
+    monkeypatch,
+):
+    # a supplied point estimate is the start of every refit; one that gives a
+    # record zero probability would fail all of them, so it is refused first
+    import incutime.bootstrap as bootstrap_module
+
+    draws = []
+    replicate_indices = bootstrap_module._replicate_indices
+
+    def counted(seed, k, n):
+        draws.append(k)
+        return replicate_indices(seed, k, n)
+
+    monkeypatch.setattr(bootstrap_module, "_replicate_indices", counted)
+    data = validate_dataset(Dataset.singly([1, 1], [1, 2]))
+    grid = candidate_grid(data)
+    weights = build_weight_matrix(data, grid)
+    with pytest.raises(ValueError, match="zero probability"):
+        bootstrap_ci(
+            weights, BootstrapConfig(b=20, seed=0), mass=MassFunction([1], [1.0])
+        )
+    with pytest.raises(ValueError, match="zero probability"):
+        refit_replicates(weights, 0, 20, SolverConfig(), np.array([1.0, 0.0]))
+    assert draws == []

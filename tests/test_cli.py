@@ -439,12 +439,12 @@ def test_exit_code_fisher_averaging_failures(tmp_path, monkeypatch):
     refit_rows = bootstrap_module._refit_rows
     calls = []
 
-    def first_three_stall(W, idx, config):
+    def first_three_stall(W, idx, config, start):
         # 3 of 20 is above the 10 percent the bootstrap also tolerates
         calls.append(idx)
         if len(calls) <= 3:
             raise NonConvergenceError("forced failure")
-        return refit_rows(W, idx, config)
+        return refit_rows(W, idx, config, start)
 
     data_path = str(tmp_path / "d.csv")
     main(["simulate", "--mode", "double", "--n", "200", "--seed", "5",

@@ -24,6 +24,7 @@ from incutime import (
 from incutime.bootstrap import resample
 from incutime.inference import averaged_inverse_information
 from incutime.linalg import spd_invert
+from incutime.solver import _minimize
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 
 
@@ -92,16 +93,15 @@ def test_averaged_single_replicate_equals_inverse_of_that_resample():
     data = draw_doubly(400, truth, ExposureSpec(m2=15), seed=71)
     grid = candidate_grid(data, m1=15)
     mass, _ = fit_npmle(data, grid)
+    p_hat = mass.as_vector(grid)
     config = SolverConfig()
     averaged, skipped = averaged_inverse_information(
-        build_weight_matrix(data, grid), config, mass.support, b=1, seed=63
+        build_weight_matrix(data, grid), config, p_hat, b=1, seed=63
     )
     assert skipped == 0
-    replicate = resample(data, 63, 0)
-    _, rep_trace = fit_npmle(replicate, grid, config)
-    plain = observed_fisher(
-        build_weight_matrix(replicate, grid), rep_trace.final_masses, mass.support
-    )
+    replicate = build_weight_matrix(resample(data, 63, 0), grid)
+    rep_masses, _ = _minimize(replicate, config, start=p_hat)
+    plain = observed_fisher(replicate, rep_masses, mass.support)
     assert np.array_equal(averaged, spd_invert(plain))
 
 
@@ -115,7 +115,7 @@ def test_averaged_inverse_dominates_inverse_of_plain_matrix():
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
     averaged, _ = averaged_inverse_information(
-        weights, SolverConfig(), mass.support, b=50, seed=64
+        weights, SolverConfig(), mass.as_vector(grid), b=50, seed=64
     )
     plain = observed_fisher(weights, mass.as_vector(grid), mass.support)
     gap_diag = np.diag(averaged - spd_invert(plain))
@@ -250,7 +250,7 @@ def test_fisher_result_rejects_single_point_fit():
 def test_fisher_averaging_fails_loudly_when_refits_collapse(monkeypatch):
     import incutime.bootstrap as bootstrap_module
 
-    def always_stalls(W, idx, config):
+    def always_stalls(W, idx, config, start):
         raise NonConvergenceError("forced failure")
 
     data = draw_doubly(200, TruthSpec(family="truncexp", a=6.0, m1=15),

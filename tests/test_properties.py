@@ -27,7 +27,8 @@ from incutime import (  # noqa: E402
     validate_dataset,
 )
 from incutime.linalg import spd_solve  # noqa: E402
-from incutime.solver import _QuadraticModel  # noqa: E402
+from incutime.bootstrap import _replicate_indices  # noqa: E402
+from incutime.solver import SolverConfig, _minimize, _QuadraticModel  # noqa: E402
 from incutime.weights import window_weight  # noqa: E402
 
 SETTINGS = settings(
@@ -146,6 +147,46 @@ def test_fit_meets_the_certificate_or_does_not_converge(data):
         return
     min_grad, comp = fenchel_residuals(trace.final_masses, W)
     assert min_grad >= -1e-10 and comp <= 1e-10
+
+
+@SETTINGS
+@given(data=datasets(), seed=st.integers(0, 2**32 - 1))
+def test_refit_started_at_the_fit_certifies_whenever_a_cold_refit_does(data, seed):
+    # a replicate's rows are a subset of the fit's, so the fit's masses are a
+    # feasible start for every refit
+    grid = candidate_grid(data)
+    W = weights_or_skip(data, grid)
+    sub = W.take(_replicate_indices(seed, 0, W.n))
+    config = SolverConfig()
+    try:
+        p_hat, _ = _minimize(W, config)
+        _minimize(sub, config)
+    except NonConvergenceError:
+        assume(False)
+    warm, trace = _minimize(sub, config, start=p_hat)
+    min_grad, comp = fenchel_residuals(warm, sub)
+    assert trace.converged
+    assert min_grad >= -1e-10 and comp <= 1e-10
+
+
+@SETTINGS
+@given(data=datasets())
+@example(data=validate_dataset(Dataset.singly([2, 3, 1], [3, 5, 5])))
+@example(data=validate_dataset(Dataset.doubly([5], [7], [10])))
+def test_last_trace_row_is_evaluated_at_the_returned_masses(data):
+    # the solver reuses each accepted iterate's likelihood terms for its
+    # trace row; they must be the terms of the masses it returns
+    grid = candidate_grid(data)
+    W = weights_or_skip(data, grid)
+    try:
+        _, trace = fit_npmle(data, grid)
+    except NonConvergenceError:
+        assume(False)
+    assume(trace.rows)
+    last = trace.rows[-1]
+    p = trace.final_masses
+    assert last.criterion == phi(p, W)
+    assert (last.min_gradient, last.complementarity) == fenchel_residuals(p, W)
 
 
 def reference_pivot(a):

@@ -138,15 +138,16 @@ def test_inner_loop_refusing_the_added_point_is_a_typed_error():
 def test_armijo_zero_direction_returns_start():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
-    p, alpha = armijo_search(p0, p0.copy(), W)
+    p, alpha, terms, value = armijo_search(p0, p0.copy(), W)
     assert np.array_equal(p, p0)
+    assert np.array_equal(terms, W.dense @ p0) and value == phi(p0, W)
 
 
 def test_armijo_accepts_full_step_on_clean_descent():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
     target = np.array([0.9, 0.1])
-    p, alpha = armijo_search(p0, target, W)
+    p, alpha, _, _ = armijo_search(p0, target, W)
     assert alpha == 1.0
     assert phi(p, W) < phi(p0, W)
 
@@ -157,9 +158,11 @@ def test_armijo_backtracks_past_infeasible_target():
     W = two_block_weights()
     p0 = np.array([0.5, 0.5])
     target = np.array([1.2, -0.2])
-    p, alpha = armijo_search(p0, target, W)
+    p, alpha, terms, value = armijo_search(p0, target, W)
     assert alpha < 1.0
     assert phi(p, W) < phi(p0, W)
+    # the accepted iterate comes with its own terms and criterion value
+    assert np.array_equal(terms, W.dense @ p) and value == phi(p, W)
 
 
 def test_fit_trivial_dataset_converges_without_iterations():
@@ -269,3 +272,45 @@ def test_two_record_double_datasets_with_non_unique_optimum_converge(rows):
     assert comp <= 1e-10
     reference = fit_em(data, grid).as_vector(grid)
     np.testing.assert_allclose(W.dense @ p, W.dense @ reference, rtol=0, atol=1e-8)
+
+
+def _one_window_record_started_on_days_3_and_5():
+    # one double-mode record with kernel weights 1, 2, 3, 3, 3, 2, 1 on days
+    # 4..10; half the mass on days 3 and 5 gives its term the value 1
+    data = validate_dataset(Dataset.doubly([5], [7], [10]))
+    W = build_weight_matrix(data, candidate_grid(data, 10))
+    start = np.zeros(W.m)
+    start[np.searchsorted(W.grid.points, [3, 5])] = 0.5
+    return W, start
+
+
+def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate():
+    from incutime.solver import _minimize
+
+    W, start = _one_window_record_started_on_days_3_and_5()
+    masses, trace = _minimize(W, SolverConfig(), start=start)
+    assert trace.converged
+    min_grad, comp = fenchel_residuals(masses, W)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+    assert W.dense[0] @ masses == pytest.approx(3.0, abs=1e-9)
+
+
+def test_warm_start_with_its_support_as_first_working_set_stalls(monkeypatch):
+    # why a warm start keeps the empty first working set: seeding the first
+    # inner pass with the start's support keeps day 3, whose column is zero
+    # on the only record, and the fit never certifies
+    import incutime.solver as solver_module
+
+    W, start = _one_window_record_started_on_days_3_and_5()
+    inner_loop = solver_module._inner_loop
+    passes = []
+
+    def seeded(model, start_support, m, inner_tol):
+        if not passes:
+            start_support = list(np.flatnonzero(start > 0.0))
+        passes.append(start_support)
+        return inner_loop(model, start_support, m, inner_tol)
+
+    monkeypatch.setattr(solver_module, "_inner_loop", seeded)
+    with pytest.raises(NonConvergenceError):
+        solver_module._minimize(W, SolverConfig(), start=start)
