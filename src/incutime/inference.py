@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -37,14 +38,8 @@ class IntervalRow:
     upper: float
     method: str
     variance: float
-    raw_lower: float = None
-    raw_upper: float = None
-
-    def __post_init__(self):
-        if self.raw_lower is None:
-            object.__setattr__(self, "raw_lower", self.lower)
-        if self.raw_upper is None:
-            object.__setattr__(self, "raw_upper", self.upper)
+    raw_lower: float
+    raw_upper: float
 
 
 @dataclass
@@ -113,8 +108,7 @@ def observed_fisher(
     centered = (at_support[:, :-1] - at_support[:, [-1]]) * (
         weights.root_counts / denom
     )[:, None]
-    fisher = (centered.T @ centered) / weights.n
-    return 0.5 * (fisher + fisher.T)
+    return (centered.T @ centered) / weights.n
 
 
 def averaged_inverse_information(
@@ -229,12 +223,9 @@ def wald_intervals(
     z is the standard normal quantile at (1 + level) / 2.  The unclipped
     bounds are retained on each row as raw_lower/raw_upper.
     """
-    # imported here to keep scipy.special out of every command's start-up
-    from scipy.special import ndtri
-
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-    z = float(ndtri(0.5 + level / 2.0))
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     points = list(points)
     m1 = variances.shape[0]
     rows = []

@@ -1,15 +1,14 @@
-"""Small dense symmetric positive definite solves.
+"""Small dense symmetric positive definite solves on numpy alone.
 
 The solver and the information-matrix pipeline only ever factor matrices of
-the order of the support size (a few dozen at most).  Every solve and inverse
-goes through one LAPACK Cholesky factorization (``dpotrf``), and failure
+the order of the support size (a few dozen at most).  A Cholesky
+factorization tests every matrix before its solve or inverse, and failure
 reports the offending pivot instead of silently regularizing.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from .errors import SingularMatrixError
 
@@ -23,41 +22,40 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError("matrix is not symmetric")
 
 
+def _factor(a: np.ndarray) -> np.ndarray | None:
+    # OpenBLAS lets a NaN pivot through, so a non-finite diagonal fails too
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    return low if np.isfinite(np.diagonal(low)).all() else None
+
+
 def cholesky_factor(a: np.ndarray) -> np.ndarray:
     """Lower-triangular L with L L^T = a; raises on the first bad pivot.
 
-    LAPACK stops at the first non-positive pivot, but some implementations
-    let a NaN pivot through, so the factor's diagonal up to the stopping
-    point is also checked for non-finite entries.
+    The leading blocks that end before that pivot factor and the others
+    fail, so on failure a bisection over them finds it.
     """
-    check_symmetric(a)
-    low, info = dpotrf(np.asarray(a, dtype=float), lower=1)
-    if info < 0:
-        raise ValueError(f"dpotrf: illegal argument {-info}")
-    stop = info - 1 if info > 0 else low.shape[0]
-    bad = np.flatnonzero(~np.isfinite(np.diagonal(low)[:stop]))
-    if bad.size:
-        raise SingularMatrixError(pivot=int(bad[0]))
-    if info > 0:
-        raise SingularMatrixError(pivot=info - 1)
-    return low
+    low = _factor(a)
+    if low is not None:
+        return low
+    good, bad = 0, np.shape(a)[0]  # orders of a leading block that factors / fails
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if _factor(a[:mid, :mid]) is None:
+            bad = mid
+        else:
+            good = mid
+    raise SingularMatrixError(pivot=bad - 1)
 
 
 def spd_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape[0] == 0:
-        return rhs.copy()
-    x, info = dpotrs(cholesky_factor(a), rhs, lower=1)
-    if info != 0:
-        raise ValueError(f"dpotrs: illegal argument {-info}")
-    return x
+    cholesky_factor(a)
+    return np.linalg.solve(a, rhs)
 
 
 def spd_invert(a: np.ndarray) -> np.ndarray:
-    if np.shape(a)[0] == 0:
-        return np.zeros((0, 0))
-    inv, info = dpotri(cholesky_factor(a), lower=1)
-    if info != 0:
-        raise SingularMatrixError(pivot=info - 1)
-    # dpotri fills the lower triangle only
-    return np.tril(inv) + np.tril(inv, -1).T
+    check_symmetric(a)
+    cholesky_factor(a)
+    return np.linalg.inv(a)

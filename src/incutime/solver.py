@@ -21,9 +21,9 @@ inner pass starts from an empty support, so it admits the day with the most
 negative model gradient first; a day no record can explain has gradient +1
 and is never admitted.  Later passes start from the previous support.  Each
 subproblem is solved exactly, so no other first working set could change a
-non-degenerate fit.  The likelihood terms sum_j p_j w_i(j) of an iterate are
-computed once, where the line search accepts it, and handed on to the
-certificate check, the trace row and the next quadratic model.
+non-degenerate fit.  An iterate's likelihood terms sum_j p_j w_i(j) and its
+gradient are each computed once and handed on to the certificate check, the
+trace row, the next quadratic model and the next line search.
 
 Identical records give identical terms, so every sum over records is taken
 as a count-weighted sum over the distinct records (the rows of the
@@ -124,10 +124,11 @@ def phi_gradient(p: np.ndarray, weights: WeightMatrix, terms=None) -> np.ndarray
 
 
 def fenchel_residuals(
-    p: np.ndarray, weights: WeightMatrix, terms=None
+    p: np.ndarray, weights: WeightMatrix, terms=None, grad=None
 ) -> tuple[float, float]:
-    """(min over the full grid of dphi/dp_j, |<p, grad phi>|)."""
-    grad = phi_gradient(p, weights, terms)
+    """(min over the grid of dphi/dp_j, |<p, grad phi>|); ``grad`` is p's gradient."""
+    if grad is None:
+        grad = phi_gradient(p, weights, terms)
     return float(grad.min()), float(abs(p @ grad))
 
 
@@ -231,14 +232,15 @@ def armijo_search(
     p_target: np.ndarray,
     weights: WeightMatrix,
     terms=None,
+    grad=None,
 ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Backtrack along the segment from p0 to p_target until phi decreases enough.
 
-    ``terms`` are p0's likelihood terms.  Returns ``(p, alpha, terms, value)``:
-    the accepted iterate, the step length, and the iterate's likelihood terms
-    and criterion value, which the caller reuses instead of evaluating them
-    again.  Infeasible trial points count as infinite criterion values.
-    Gives up below alpha = 1e-15.
+    ``terms`` are p0's likelihood terms and ``grad`` its gradient.  Returns
+    ``(p, alpha, terms, value)``: the accepted iterate, the step length, and
+    the iterate's likelihood terms and criterion value, which the caller
+    reuses instead of evaluating them again.  Infeasible trial points count
+    as infinite criterion values.  Gives up below alpha = 1e-15.
     """
     if terms is None:
         terms = _positive_terms(p0, weights)
@@ -246,7 +248,9 @@ def armijo_search(
     delta = p_target - p0
     if not np.any(delta):
         return p0.copy(), 1.0, terms, base
-    slope = float(phi_gradient(p0, weights, terms) @ delta)
+    if grad is None:
+        grad = phi_gradient(p0, weights, terms)
+    slope = float(grad @ delta)
     resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(base))
     if ARMIJO_C * abs(slope) <= resolution:
         # the predicted decrease is below the floating point resolution of
@@ -287,7 +291,8 @@ def _minimize(
     terms = _positive_terms(current, weights)
     support: list[int] = []
     trace = IterationTrace()
-    min_grad, comp = fenchel_residuals(current, weights, terms)
+    grad = phi_gradient(current, weights, terms)
+    min_grad, comp = fenchel_residuals(current, weights, grad=grad)
     iteration = 0
     while min_grad < -config.tol or comp > config.tol:
         iteration += 1
@@ -300,14 +305,17 @@ def _minimize(
         model = _QuadraticModel(weights, current, terms)
         target, support = _inner_loop(model, support, m, INNER_TOL)
         try:
-            current, _, terms, value = armijo_search(current, target, weights, terms)
+            current, _, terms, value = armijo_search(
+                current, target, weights, terms, grad
+            )
         except LineSearchError:
             trace.final_masses = current
             raise NonConvergenceError(
                 "line search stalled before reaching the certificate tolerance",
                 trace=trace,
             ) from None
-        min_grad, comp = fenchel_residuals(current, weights, terms)
+        grad = phi_gradient(current, weights, terms)
+        min_grad, comp = fenchel_residuals(current, weights, grad=grad)
         trace.rows.append(
             TraceRow(
                 iteration=iteration,

@@ -379,15 +379,21 @@ def test_exit_code_for_every_package_error(tmp_path, monkeypatch, capsys, error,
     assert "Traceback" not in err
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # scipy.stats adds about half a second to every command's start-up, and
-    # scipy.special, scipy.integrate and scipy.optimize a quarter more; each
-    # command imports what it uses when it uses it
-    unused = ["scipy.stats", "scipy.special", "scipy.integrate", "scipy.optimize"]
+def test_cli_import_and_wald_ci_load_no_scipy(tmp_path):
+    # importing scipy costs more start-up than numpy itself; fit and ci run on
+    # numpy alone, and only coverage and simulate --truth-out load
+    # scipy.integrate, when they integrate the true curve
+    data = tmp_path / "d.csv"
+    _write_singly(data, [(1, 3), (2, 6), (1, 8), (3, 5), (2, 10), (1, 2)])
+    argv = ["ci", "--mode", "single", "--data", str(data), "--method", "wald",
+            "--m1", "10", "--out", str(tmp_path / "ci.csv")]
     code = (
-        "import incutime.cli, sys; "
-        f"loaded = [m for m in {unused!r} if m in sys.modules]; "
-        "assert not loaded, loaded"
+        "import incutime.cli, sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "assert not scipy_modules(), scipy_modules()\n"
+        f"assert incutime.cli.main({argv!r}) == 0\n"
+        "assert not scipy_modules(), scipy_modules()\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", code], env=env,

@@ -58,3 +58,8 @@ def test_check_symmetric():
         check_symmetric(np.array([[1.0, 2.0], [2.1, 3.0]]))
     with pytest.raises(ValueError):
         check_symmetric(np.ones((2, 3)))
+
+
+def test_spd_invert_rejects_an_asymmetric_matrix():
+    with pytest.raises(ValueError, match="not symmetric"):
+        spd_invert(np.array([[2.0, 1.0], [1.1, 2.0]]))

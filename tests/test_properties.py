@@ -26,7 +26,7 @@ from incutime import (  # noqa: E402
     phi_gradient,
     validate_dataset,
 )
-from incutime.linalg import spd_solve  # noqa: E402
+from incutime.linalg import spd_invert, spd_solve  # noqa: E402
 from incutime.bootstrap import _replicate_indices  # noqa: E402
 from incutime.solver import SolverConfig, _minimize, _QuadraticModel  # noqa: E402
 from incutime.weights import window_weight  # noqa: E402
@@ -203,9 +203,15 @@ def reference_pivot(a):
     return None
 
 
-def solve_pivot(a):
+ENTRY_POINTS = {
+    "spd_solve": lambda a: spd_solve(a, np.ones(a.shape[0])),
+    "spd_invert": spd_invert,
+}
+
+
+def failing_pivot(entry_point, a):
     try:
-        spd_solve(a, np.ones(a.shape[0]))
+        ENTRY_POINTS[entry_point](a)
     except SingularMatrixError as exc:
         return exc.pivot
     return None
@@ -221,21 +227,27 @@ def ldl_matrices(draw):
     return low, pivots, rng
 
 
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
 @SETTINGS
 @given(factors=ldl_matrices(), data=st.data())
-def test_spd_solve_reports_the_reference_pivot_on_indefinite_matrices(factors, data):
+def test_spd_entry_point_reports_the_reference_pivot_on_indefinite_matrices(
+    entry_point, factors, data
+):
     low, pivots, _ = factors
     bad = data.draw(st.integers(0, pivots.size - 1))
     pivots[bad] = -pivots[bad]
     a = (low * pivots) @ low.T
     a = 0.5 * (a + a.T)
     assert reference_pivot(a) == bad
-    assert solve_pivot(a) == bad
+    assert failing_pivot(entry_point, a) == bad
 
 
+@pytest.mark.parametrize("entry_point", sorted(ENTRY_POINTS))
 @SETTINGS
 @given(factors=ldl_matrices(), data=st.data())
-def test_spd_solve_reports_the_reference_pivot_on_nan_matrices(factors, data):
+def test_spd_entry_point_reports_the_reference_pivot_on_nan_matrices(
+    entry_point, factors, data
+):
     low, pivots, _ = factors
     a = (low * pivots) @ low.T
     a = 0.5 * (a + a.T)
@@ -244,4 +256,4 @@ def test_spd_solve_reports_the_reference_pivot_on_nan_matrices(factors, data):
     a[i, j] = a[j, i] = np.nan
     expected = reference_pivot(a)
     assert expected is not None
-    assert solve_pivot(a) == expected
+    assert failing_pivot(entry_point, a) == expected
