@@ -18,7 +18,6 @@ from .errors import (
     InfeasibleRecordError,
     LineSearchError,
     NonConvergenceError,
-    RankDeficiencyError,
     SingularMatrixError,
 )
 from .inference import (
@@ -95,7 +94,6 @@ __all__ = [
     "LineSearchError",
     "MassFunction",
     "NonConvergenceError",
-    "RankDeficiencyError",
     "SingularMatrixError",
     "SolverConfig",
     "TruncExpFit",

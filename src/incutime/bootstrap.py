@@ -11,11 +11,12 @@ A resample is a multinomial reweighting of the records (Efron & Tibshirani,
 are reduced to counts over the distinct-record rows of the fit's weight
 matrix, and the refit runs on the rows that occur.  Those rows are a subset
 of the fit's, so the point fit's masses give every one of them a positive
-term, and each refit starts there (with an empty first working set) instead
-of at the uniform vector: it needs fewer outer iterations to reach the same
-certificate.  ``refit_replicates`` is the one replicate engine behind both
-the bootstrap and Fisher averaging, and ``check_replicate_failures`` their
-one failure policy.
+term, and each refit starts there, with their support as its first working
+set, instead of at the uniform vector: it needs fewer outer iterations and
+fewer normal-equation solves to reach the same certificate.
+``refit_replicates`` is the one replicate engine behind both the bootstrap
+and Fisher averaging, and ``check_replicate_failures`` their one failure
+policy.
 """
 
 from __future__ import annotations

@@ -45,14 +45,6 @@ class SingularMatrixError(IncutimeError):
         self.pivot = pivot
 
 
-class RankDeficiencyError(IncutimeError):
-    """Raised when the quadratic subproblem has a singular normal matrix."""
-
-    def __init__(self, support):
-        super().__init__(f"rank-deficient normal equations on support {list(support)}")
-        self.support = list(support)
-
-
 class LineSearchError(IncutimeError):
     """Raised when no step length gives sufficient descent."""
 

@@ -136,7 +136,7 @@ def averaged_inverse_information(
     Replicates come from the bootstrap's replicate engine: each one reweights
     the rows of the fit's weight matrix, so no dataset is copied and no
     weight is evaluated twice, and refits them starting at ``masses`` with
-    an empty first working set.
+    their support as the first working set.
     """
     from .bootstrap import check_replicate_failures, refit_replicates
 

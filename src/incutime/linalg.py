@@ -3,7 +3,11 @@
 The solver and the information-matrix pipeline only ever factor matrices of
 the order of the support size (a few dozen at most).  A Cholesky
 factorization tests every matrix before its solve or inverse, and failure
-reports the offending pivot instead of silently regularizing.
+reports the offending pivot instead of silently regularizing.  A pivot
+fails when it is non-finite or when L_jj**2 <= PIVOT_TOL * a_jj: the
+factorization of an exactly singular matrix can end on a rounding-sized
+positive pivot, and the solve or inverse behind it would then fail or
+return noise.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularMatrixError
+
+PIVOT_TOL = 1e-10  # least accepted ratio of a squared pivot to its diagonal entry
 
 
 def check_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
@@ -23,12 +29,14 @@ def check_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
 
 
 def _factor(a: np.ndarray) -> np.ndarray | None:
-    # OpenBLAS lets a NaN pivot through, so a non-finite diagonal fails too
     try:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
-    return low if np.isfinite(np.diagonal(low)).all() else None
+    # OpenBLAS lets a NaN pivot through; every comparison with NaN is false,
+    # so this one test also fails a non-finite pivot
+    pivots = np.diagonal(low)
+    return low if (pivots * pivots > PIVOT_TOL * np.diagonal(a)).all() else None
 
 
 def cholesky_factor(a: np.ndarray) -> np.ndarray:

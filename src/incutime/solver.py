@@ -14,14 +14,17 @@ is certified by the two cone optimality conditions
 both enforced at ``SolverConfig.tol``.  Each outer iteration minimizes the
 local quadratic expansion of phi over the cone by alternately growing and
 shrinking a candidate support set, then takes a backtracking (Armijo) step
-toward the subproblem solution.  A fit starts at the uniform vector, and a
-bootstrap or Fisher-averaging replicate refit at the point fit's masses,
-which give every replicate record a positive term.  Either way the first
-inner pass starts from an empty support, so it admits the day with the most
-negative model gradient first; a day no record can explain has gradient +1
-and is never admitted.  Later passes start from the previous support.  Each
-subproblem is solved exactly, so no other first working set could change a
-non-degenerate fit.  An iterate's likelihood terms sum_j p_j w_i(j) and its
+toward the subproblem solution.  A fit starts at the uniform vector with
+an empty first support, so its first inner pass admits the day with the
+most negative model gradient first; a day no record can explain has
+gradient +1 and is never admitted.  A bootstrap or Fisher-averaging
+replicate refit starts at the point fit's masses, which give every
+replicate record a positive term, and its first inner pass starts from
+their support, which is usually close to the replicate's own.  Later passes
+start from the previous support.  The working support is kept linearly
+independent, so a support column that a replicate's records make dependent
+on the others (or zero) leaves it instead of stalling the active-set rules.
+An iterate's likelihood terms sum_j p_j w_i(j) and its
 gradient are each computed once and handed on to the certificate check, the
 trace row, the next quadratic model and the next line search.
 
@@ -157,19 +160,11 @@ class _QuadraticModel:
 
         A weight column (over the distinct records) that is a linear
         combination of the support columns before it makes the normal matrix
-        singular, and the Cholesky factorization stops at its pivot.  Such a
-        column is dropped with zero mass and the rest is solved again.
+        singular, and the Cholesky factorization stops at its pivot: raises
+        SingularMatrixError with that column's position in ``support``.
         """
         idx = np.asarray(support, dtype=int)
-        out = np.zeros(len(support))
-        kept = np.arange(len(support))
-        while True:
-            cols = idx[kept]
-            try:
-                out[kept] = spd_solve(self.gram[np.ix_(cols, cols)], self.b[cols])
-                return out
-            except SingularMatrixError as exc:
-                kept = np.delete(kept, exc.pivot)
+        return spd_solve(self.gram[np.ix_(idx, idx)], self.b[idx])
 
     def gradient(self, support: list[int], masses: np.ndarray) -> np.ndarray:
         """Model gradient over the full grid at the embedded support solution."""
@@ -177,6 +172,41 @@ class _QuadraticModel:
             return -self.b.copy()
         idx = np.asarray(support, dtype=int)
         return self.gram[:, idx] @ masses - self.b
+
+
+def _solve_independent(model: _QuadraticModel, support: list[int]) -> np.ndarray:
+    """Model solve on the support, dropping dependent columns from it in place.
+
+    A column the factorization finds dependent on the columns before it
+    leaves ``support``, and the rest is solved again.
+    """
+    while True:
+        try:
+            return model.solve(support)
+        except SingularMatrixError as exc:
+            support.pop(exc.pivot)
+
+
+def _exchange_position(
+    model: _QuadraticModel, support: list[int], masses: np.ndarray, added: int
+) -> int:
+    """Position of the support point that a dependent added point replaces.
+
+    The added column is a combination c of the support columns, so moving
+    the masses along e_added - c leaves every model term alone and changes
+    the model at the rate 1 - sum(c) < 0 (the added point's model gradient,
+    since the support's vanishes).  The move ends where the first support
+    mass reaches zero: the exchange step of active-set nonnegative least
+    squares in the degenerate case (Lawson & Hanson, 1974, ch. 23).
+    """
+    idx = np.asarray(support, dtype=int)
+    c = spd_solve(model.gram[np.ix_(idx, idx)], model.gram[idx, added])
+    rising = np.flatnonzero(c > 0.0)
+    if not rising.size:
+        raise NonConvergenceError(
+            "inner loop found no support point to exchange for a dependent one"
+        )
+    return int(rising[np.argmin(masses[rising] / c[rising])])
 
 
 def _inner_loop(
@@ -190,11 +220,16 @@ def _inner_loop(
     Alternates between dropping the most negative mass point and adding the
     off-support point with the most negative model gradient, re-solving the
     normal equations after every change.  ``start_support`` holds sorted,
-    distinct grid indices: empty on a fit's first pass, the previous pass's
-    support after that.
+    distinct grid indices: the start's support on a fit's first pass (empty
+    from the uniform start), the previous pass's support after that.
+
+    The working support stays linearly independent, as the active-set rules
+    need: a column found dependent on the support leaves it, so the gradient
+    test can bring it back later, and a dependent added point takes the
+    place of the support point its exchange step picks.
     """
     support = list(start_support)
-    masses = model.solve(support)
+    masses = _solve_independent(model, support)
     just_added: int | None = None
     for _ in range(10 * m + 100):
         while masses.size and masses.min() < 0.0:
@@ -207,7 +242,7 @@ def _inner_loop(
                     "inner loop attempted to remove the point it just added"
                 )
             support.pop(worst)
-            masses = model.solve(support) if support else np.empty(0)
+            masses = _solve_independent(model, support) if support else np.empty(0)
         grad = model.gradient(support, masses)
         if support:
             grad = grad.copy()
@@ -215,10 +250,15 @@ def _inner_loop(
         candidate = int(np.argmin(grad))
         if grad[candidate] >= -inner_tol:
             break
-        position = int(np.searchsorted(np.asarray(support, dtype=int), candidate))
-        support.insert(position, candidate)
+        grown = list(support)
+        grown.insert(int(np.searchsorted(grown, candidate)), candidate)
+        try:
+            masses = model.solve(grown)
+        except SingularMatrixError:
+            grown.remove(support[_exchange_position(model, support, masses, candidate)])
+            masses = _solve_independent(model, grown)
+        support = grown
         just_added = candidate
-        masses = model.solve(support)
     else:
         raise NonConvergenceError("quadratic subproblem did not settle on a support")
     full = np.zeros(m)
@@ -284,12 +324,17 @@ def _minimize(
 
     ``start`` is the first iterate, the uniform vector when omitted; every
     likelihood term must be positive there.  The first inner pass starts
-    from an empty support whatever the start.
+    from the support of ``start`` when given, and from an empty support
+    otherwise.
     """
     m = weights.m
-    current = np.full(m, 1.0 / m) if start is None else np.array(start, dtype=float)
+    if start is None:
+        current = np.full(m, 1.0 / m)
+        support: list[int] = []
+    else:
+        current = np.array(start, dtype=float)
+        support = np.flatnonzero(current > 0.0).tolist()
     terms = _positive_terms(current, weights)
-    support: list[int] = []
     trace = IterationTrace()
     grad = phi_gradient(current, weights, terms)
     min_grad, comp = fenchel_residuals(current, weights, grad=grad)

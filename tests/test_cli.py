@@ -19,7 +19,6 @@ from incutime import (
     InfeasibleRecordError,
     LineSearchError,
     NonConvergenceError,
-    RankDeficiencyError,
     SingularMatrixError,
     build_weight_matrix,
     candidate_grid,
@@ -350,7 +349,6 @@ EXIT_CODES = [
     (InfeasibleRecordError(0), 4),
     (InfeasiblePointError(0), 4),
     (SingularMatrixError(0), 4),
-    (RankDeficiencyError([1, 2]), 4),
     (DegenerateFitError("forced"), 4),
     (BootstrapFailureError("forced", failed=1, total=2), 4),
     (IncutimeError("forced"), 4),

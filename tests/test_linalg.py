@@ -63,3 +63,17 @@ def test_check_symmetric():
 def test_spd_invert_rejects_an_asymmetric_matrix():
     with pytest.raises(ValueError, match="not symmetric"):
         spd_invert(np.array([[2.0, 1.0], [1.1, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "entry_point",
+    [lambda a: spd_solve(a, np.ones(3)), spd_invert],
+    ids=["spd_solve", "spd_invert"],
+)
+def test_singular_matrix_with_a_rounding_sized_pivot_is_reported(entry_point):
+    # the last pivot comes out at about 1e-8 instead of 0; a solve or an
+    # inverse behind it would raise numpy's own LinAlgError
+    a = np.array([[10 / 3, 0.0, 0.0], [0.0, 2 / 3, 2 / 3], [0.0, 2 / 3, 2 / 3]])
+    with pytest.raises(SingularMatrixError) as err:
+        entry_point(a)
+    assert err.value.pivot == 2

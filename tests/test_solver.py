@@ -284,7 +284,10 @@ def _one_window_record_started_on_days_3_and_5():
     return W, start
 
 
-def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate():
+def test_warm_start_with_its_support_as_first_working_set_reaches_the_certificate():
+    # the first inner pass starts on days 3 and 5; day 3's column is zero on
+    # the only record, so it must leave the working support instead of
+    # staying there with zero mass and a masked gradient
     from incutime.solver import _minimize
 
     W, start = _one_window_record_started_on_days_3_and_5()
@@ -295,22 +298,25 @@ def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate():
     assert W.dense[0] @ masses == pytest.approx(3.0, abs=1e-9)
 
 
-def test_warm_start_with_its_support_as_first_working_set_stalls(monkeypatch):
-    # why a warm start keeps the empty first working set: seeding the first
-    # inner pass with the start's support keeps day 3, whose column is zero
-    # on the only record, and the fit never certifies
-    import incutime.solver as solver_module
+def test_refit_whose_added_point_depends_on_the_start_support_converges():
+    # the replicate's records make a day added to the seeded support a
+    # combination of the support's days; it takes the place of the support
+    # day its exchange step picks instead of being refused as just added
+    from incutime.bootstrap import _replicate_indices
+    from incutime.em import fit_em
+    from incutime.solver import _minimize
 
-    W, start = _one_window_record_started_on_days_3_and_5()
-    inner_loop = solver_module._inner_loop
-    passes = []
-
-    def seeded(model, start_support, m, inner_tol):
-        if not passes:
-            start_support = list(np.flatnonzero(start > 0.0))
-        passes.append(start_support)
-        return inner_loop(model, start_support, m, inner_tol)
-
-    monkeypatch.setattr(solver_module, "_inner_loop", seeded)
-    with pytest.raises(NonConvergenceError):
-        solver_module._minimize(W, SolverConfig(), start=start)
+    data = validate_dataset(Dataset.doubly([5, 5, 2, 2], [4, 0, 2, 1], [9, 3, 3, 8]))
+    grid = candidate_grid(data)
+    W = build_weight_matrix(data, grid)
+    p_hat, _ = _minimize(W, SolverConfig())
+    idx = _replicate_indices(1003, 1, W.n)
+    sub = W.take(idx)
+    masses, trace = _minimize(sub, SolverConfig(), start=p_hat)
+    assert trace.converged
+    min_grad, comp = fenchel_residuals(masses, sub)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+    reference = fit_em(data.take(idx), grid).as_vector(grid)
+    np.testing.assert_allclose(
+        sub.dense @ masses, sub.dense @ reference, rtol=0, atol=1e-8
+    )
