@@ -284,6 +284,32 @@ def _one_window_record_started_on_days_3_and_5():
     return W, start
 
 
+def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate(
+    monkeypatch,
+):
+    # the point fit's first inner pass starts from an empty working set; the
+    # same pass from a warm start also reaches the certificate
+    import incutime.solver as solver_module
+
+    W, start = _one_window_record_started_on_days_3_and_5()
+    inner_loop = solver_module._inner_loop
+    passes = []
+
+    def emptied(model, start_support, m, inner_tol):
+        if not passes:
+            start_support = []
+        passes.append(list(start_support))
+        return inner_loop(model, start_support, m, inner_tol)
+
+    monkeypatch.setattr(solver_module, "_inner_loop", emptied)
+    masses, trace = solver_module._minimize(W, SolverConfig(), start=start)
+    assert passes[0] == []
+    assert trace.converged
+    min_grad, comp = fenchel_residuals(masses, W)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+    assert W.dense[0] @ masses == pytest.approx(3.0, abs=1e-9)
+
+
 def test_warm_start_with_its_support_as_first_working_set_reaches_the_certificate():
     # the first inner pass starts on days 3 and 5; day 3's column is zero on
     # the only record, so it must leave the working support instead of
