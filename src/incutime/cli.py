@@ -82,8 +82,53 @@ def _check_field_counts(path: str, lines, width: int) -> None:
             )
 
 
+def _load_body(fh, dtype) -> np.ndarray:
+    """The rest of ``fh`` as a 2-d array of ``dtype``; raises ValueError on
+    a cell it cannot parse or a record with a different field count."""
+    with warnings.catch_warnings():
+        # a header-only file is reported by the caller as an empty dataset
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning
+        )
+        return np.loadtxt(
+            fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=dtype
+        )
+
+
+def _parse_body(fh, path: str, width: int) -> np.ndarray:
+    """The records after the header: int64 when every cell is an integer of
+    magnitude below 2**63 - 512, else float.
+
+    A larger integer rounds to +-2**63 as a float, which validation rejects
+    as beyond the int64 range, so it takes the float parse and fails as
+    before.
+    """
+    body = fh.tell()
+    try:
+        values = _load_body(fh, np.int64)
+    except ValueError:
+        pass
+    else:
+        if not values.size or (
+            -(2.0**63) < float(values.min()) and float(values.max()) < 2.0**63
+        ):
+            return values
+    fh.seek(body)
+    try:
+        return _load_body(fh, float)
+    except ValueError:
+        fh.seek(body)
+        _check_field_counts(path, fh, width)
+        raise
+
+
 def read_dataset_csv(path: str, mode: str) -> Dataset:
     """Read a dataset CSV: header ``e,s`` or ``e,sl,sr``, one record a line.
+
+    Cells spelled as integers are read as exact int64 values.  Only a file
+    with some other cell (``3.0``, ``1e3``, ``inf``, text, an integer of
+    magnitude 2**63 - 512 or more) or a wrong field count is parsed again as
+    float, which reads it or fails as a float parse always did.
 
     Raises DatasetValidationError for a wrong header, a record with the
     wrong number of fields (``record_index`` counts records, so blank lines
@@ -98,20 +143,7 @@ def read_dataset_csv(path: str, mode: str) -> Dataset:
             raise DatasetValidationError(
                 f"{path}: expected header {','.join(expected)}"
             )
-        body = fh.tell()
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below as an empty dataset
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning
-                )
-                values = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2
-                )
-        except ValueError:
-            fh.seek(body)
-            _check_field_counts(path, fh, width)
-            raise
+        values = _parse_body(fh, path, width)
     if values.size == 0:
         raise DatasetValidationError("empty dataset")
     if values.shape[1] != width:

@@ -24,9 +24,10 @@ their support, which is usually close to the replicate's own.  Later passes
 start from the previous support.  The working support is kept linearly
 independent, so a support column that a replicate's records make dependent
 on the others (or zero) leaves it instead of stalling the active-set rules.
-An iterate's likelihood terms sum_j p_j w_i(j) and its
-gradient are each computed once and handed on to the certificate check, the
-trace row, the next quadratic model and the next line search.
+An iterate's likelihood terms sum_j p_j w_i(j), its
+criterion value and its gradient are each computed once and handed on to the
+certificate check, the trace row, the next quadratic model and the next line
+search.
 
 Identical records give identical terms, so every sum over records is taken
 as a count-weighted sum over the distinct records (the rows of the
@@ -229,7 +230,7 @@ def _inner_loop(
     place of the support point its exchange step picks.
     """
     support = list(start_support)
-    masses = _solve_independent(model, support)
+    masses = _solve_independent(model, support) if support else np.empty(0)
     just_added: int | None = None
     for _ in range(10 * m + 100):
         while masses.size and masses.min() < 0.0:
@@ -267,24 +268,39 @@ def _inner_loop(
     return full, support
 
 
+def _trial(p: np.ndarray, weights: WeightMatrix) -> tuple[np.ndarray, float]:
+    """A line search trial's likelihood terms and criterion value.
+
+    The value is infinite when a term vanishes; unlike ``_positive_terms``
+    this builds no error, so a rejected trial costs no scan of the records.
+    """
+    terms = weights.dense @ p
+    if (terms <= 0.0).any():
+        return terms, np.inf
+    return terms, phi(p, weights, terms)
+
+
 def armijo_search(
     p0: np.ndarray,
     p_target: np.ndarray,
     weights: WeightMatrix,
     terms=None,
     grad=None,
+    base=None,
 ) -> tuple[np.ndarray, float, np.ndarray, float]:
     """Backtrack along the segment from p0 to p_target until phi decreases enough.
 
-    ``terms`` are p0's likelihood terms and ``grad`` its gradient.  Returns
-    ``(p, alpha, terms, value)``: the accepted iterate, the step length, and
-    the iterate's likelihood terms and criterion value, which the caller
-    reuses instead of evaluating them again.  Infeasible trial points count
-    as infinite criterion values.  Gives up below alpha = 1e-15.
+    ``terms`` are p0's likelihood terms, ``grad`` its gradient and ``base``
+    its criterion value.  Returns ``(p, alpha, terms, value)``: the accepted
+    iterate, the step length, and the iterate's likelihood terms and
+    criterion value, which the caller reuses instead of evaluating them
+    again.  Infeasible trial points count as infinite criterion values.
+    Gives up below alpha = 1e-15.
     """
     if terms is None:
         terms = _positive_terms(p0, weights)
-    base = phi(p0, weights, terms)
+    if base is None:
+        base = phi(p0, weights, terms)
     delta = p_target - p0
     if not np.any(delta):
         return p0.copy(), 1.0, terms, base
@@ -296,21 +312,13 @@ def armijo_search(
         # the predicted decrease is below the floating point resolution of
         # the criterion, so no backtracking test can verify it; take the
         # full step unless it visibly increases the criterion
-        try:
-            target_terms = _positive_terms(p_target, weights)
-            value = phi(p_target, weights, target_terms)
-        except InfeasiblePointError:
-            value = np.inf
+        target_terms, value = _trial(p_target, weights)
         if value <= base + resolution:
             return p_target.copy(), 1.0, target_terms, value
     alpha = 1.0
     while alpha >= 1e-15:
         trial = p0 + alpha * delta
-        try:
-            trial_terms = _positive_terms(trial, weights)
-            value = phi(trial, weights, trial_terms)
-        except InfeasiblePointError:
-            value = np.inf
+        trial_terms, value = _trial(trial, weights)
         if value <= base + ARMIJO_C * alpha * slope:
             return trial, alpha, trial_terms, value
         alpha *= ARMIJO_SHRINK
@@ -338,6 +346,7 @@ def _minimize(
     trace = IterationTrace()
     grad = phi_gradient(current, weights, terms)
     min_grad, comp = fenchel_residuals(current, weights, grad=grad)
+    value = None  # phi at current; the first line search evaluates it
     iteration = 0
     while min_grad < -config.tol or comp > config.tol:
         iteration += 1
@@ -351,7 +360,7 @@ def _minimize(
         target, support = _inner_loop(model, support, m, INNER_TOL)
         try:
             current, _, terms, value = armijo_search(
-                current, target, weights, terms, grad
+                current, target, weights, terms, grad, value
             )
         except LineSearchError:
             trace.final_masses = current

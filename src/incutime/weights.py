@@ -8,7 +8,11 @@ integrating the day CDF over the onset window.
 Identical records contribute identical terms, so the weights are stored once
 per distinct record (a pattern) together with how many records share it.
 Every likelihood sum is then a count-weighted sum over patterns, and its cost
-scales with the number of distinct records rather than with n.
+scales with the number of distinct records rather than with n.  Finding the
+patterns is the one pass over all n records: a stable lexicographic sort of
+the record columns.  Day columns span a few dozen values, so each integer
+column whose span is below 2**16 is sorted as an offset from its minimum in
+an 8- or 16-bit unsigned copy, where numpy's stable sort is a radix sort.
 """
 
 from __future__ import annotations
@@ -133,11 +137,30 @@ class WeightMatrix:
         )
 
 
+def _compact(col: np.ndarray) -> np.ndarray:
+    """An integer column shifted to start at 0 and cast to the narrowest
+    unsigned type when its span is below 2**16; any other column as it is.
+
+    The shift keeps the order of the values, and numpy's stable sort of a
+    16-bit or narrower column is a radix sort instead of a comparison sort.
+    """
+    if col.dtype.kind not in "iu" or not col.size:
+        return col
+    low = col.min()
+    span = int(col.max()) - int(low)
+    if span >= 2**16:
+        return col
+    return (col - low).astype(np.min_scalar_type(span))
+
+
 def _group_records(columns):
     """Distinct rows of the stacked columns, in sorted ``np.unique(axis=0)`` order.
 
     Returns (first record of each pattern, record -> pattern map, counts).
+    The sort and the pattern boundaries run on compact copies of the
+    columns, which order and compare the records exactly as the columns do.
     """
+    columns = [_compact(col) for col in columns]
     order = np.lexsort(columns[::-1])
     new = np.zeros(order.size, dtype=bool)
     new[:1] = True

@@ -86,6 +86,9 @@ READER_CASES = {
     ),
     "non-numeric cell": ("e,s\n1,2\n1,x\n", "single", (ValueError, None)),
     "fractional cell": ("e,s\n1,2\n2,3.5\n", "single", (DatasetValidationError, 1)),
+    "fractional cell beside integer cells": (
+        "e,sl,sr\n1,0,2\n2.5,1,4\n", "double", (DatasetValidationError, 1)
+    ),
     "infinite cell": ("e,s\n1,2\n1,inf\n", "single", (DatasetValidationError, 1)),
     "negative infinite cell": ("e,s\n-inf,2\n", "single", (DatasetValidationError, 0)),
     "cell beyond int64": (
@@ -103,6 +106,28 @@ READER_CASES = {
     ),
     "upper-case spaced header": (
         "E, SL , Sr\n1,0,2\n", "double", Dataset.doubly([1], [0], [2])
+    ),
+    "float-spelled integers": (
+        "e,s\n3.0,+5\n 4,6\n", "single", Dataset.singly([3, 4], [5, 6])
+    ),
+    "signed and spaced integers": (
+        "e,s\n+3, 5\n 4 ,+6\n", "single", Dataset.singly([3, 4], [5, 6])
+    ),
+    # integer cells are read as int64, not rounded through float64
+    "integer above 2**53": (
+        "e,s\n1,9007199254740993\n", "single",
+        Dataset.singly([1], [9007199254740993]),
+    ),
+    # these round to +-2**63 as floats, beyond the int64 range
+    "largest int64": (
+        "e,s\n1,2\n1,9223372036854775807\n", "single", (DatasetValidationError, 1)
+    ),
+    "least int64 beyond 2**63 - 512": (
+        "e,sl,sr\n1,-9223372036854775296,2\n", "double", (DatasetValidationError, 0)
+    ),
+    "largest integer below 2**63 - 512": (
+        "e,s\n1,9223372036854775295\n", "single",
+        Dataset.singly([1], [9223372036854775295]),
     ),
 }
 
@@ -122,6 +147,25 @@ def test_read_dataset_csv_cases(tmp_path, text, mode, expected):
             read_dataset_csv(str(path), mode)
     assert type(caught.value) is error
     assert getattr(caught.value, "record_index", None) == record_index
+
+
+def test_integer_file_is_parsed_once(tmp_path, monkeypatch):
+    loadtxt = np.loadtxt
+    dtypes = []
+
+    def counted(*args, **kwargs):
+        dtypes.append(kwargs["dtype"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    path = tmp_path / "d.csv"
+    path.write_text("e,sl,sr\n1,0,2\n3,1,4\n")
+    read_dataset_csv(str(path), "double")
+    assert dtypes == [np.int64]
+    dtypes.clear()
+    path.write_text("e,sl,sr\n1,0,2\n3,1,4.0\n")
+    read_dataset_csv(str(path), "double")
+    assert dtypes == [np.int64, float]
 
 
 def test_simulate_writes_expected_shapes(tmp_path):

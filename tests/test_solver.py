@@ -165,6 +165,38 @@ def test_armijo_backtracks_past_infeasible_target():
     assert np.array_equal(terms, W.dense @ p) and value == phi(p, W)
 
 
+def test_infeasible_line_search_trial_looks_up_no_record(monkeypatch):
+    # a full step of this fit's line search leaves a record with no mass;
+    # the trial is rejected without scanning the records for its index
+    import incutime.solver as solver_module
+
+    data = validate_dataset(Dataset.singly([1, 1, 3], [1, 1, 4]))
+    W = build_weight_matrix(data, candidate_grid(data))
+    record_of = WeightMatrix.record_of
+    lookups = []
+    values = []
+
+    def counted(self, row):
+        lookups.append(row)
+        return record_of(self, row)
+
+    trial = solver_module._trial
+
+    def recorded(p, weights):
+        terms, value = trial(p, weights)
+        values.append(value)
+        return terms, value
+
+    monkeypatch.setattr(WeightMatrix, "record_of", counted)
+    monkeypatch.setattr(solver_module, "_trial", recorded)
+    masses, _ = solver_module._minimize(W, SolverConfig())
+    assert np.inf in values
+    assert lookups == []
+    np.testing.assert_allclose(
+        masses, [0.6666666666666669, 0.3333333333333333, 0.0, 0.0], rtol=0, atol=1e-15
+    )
+
+
 def test_fit_trivial_dataset_converges_without_iterations():
     data = validate_dataset(Dataset.singly([1, 1, 1], [1, 1, 1]))
     grid = candidate_grid(data)

@@ -10,6 +10,7 @@ from incutime import (
     psi_weight,
     validate_dataset,
 )
+from incutime.weights import _compact, _group_records
 
 
 def window_integral_by_step_sums(e, s_l, s_r, mass):
@@ -164,3 +165,43 @@ def test_build_weight_matrix_flags_record_outside_grid():
         build_weight_matrix(data, Grid(points=np.array([2, 3])))
     assert err.value.record_index == 1
 
+
+def _repeated_rows(*columns, n=500, seed=8):
+    """``n`` records drawn from the distinct rows given as columns, so
+    patterns repeat."""
+    pick = np.random.default_rng(seed).integers(0, len(columns[0]), n)
+    return [np.asarray(col)[pick] for col in columns]
+
+
+GROUPING_CASES = {
+    "span below 2**8": (
+        _repeated_rows([1, 3, 200, 3, 1, 7], [4, 4, 250, 9, 4, 1]), [np.uint8] * 2
+    ),
+    "span below 2**16": (
+        _repeated_rows([1, 2, 65_000, 2], [40_000, 5, 7, 5]), [np.uint16] * 2
+    ),
+    "span of 2**16": (
+        _repeated_rows([0, 2**16, 5, 0], [1, 1, 2, 1]), [np.int64, np.uint8]
+    ),
+    "negative minimum": (
+        _repeated_rows([-7, 0, -7, 3], [-30_000, 30_000, -30_000, 0], [1, 1, 2, 1]),
+        [np.uint8, np.uint16, np.uint8],
+    ),
+    "float column": (
+        _repeated_rows([1.5, 2.0, 1.5, -3.0], [2, 2, 3, 2]), [np.float64, np.uint8]
+    ),
+}
+
+
+@pytest.mark.parametrize("columns, dtypes", GROUPING_CASES.values(),
+                         ids=list(GROUPING_CASES))
+def test_group_records_matches_sorted_unique_rows(columns, dtypes):
+    assert [_compact(col).dtype for col in columns] == [np.dtype(t) for t in dtypes]
+    first, record_rows, counts = _group_records(columns)
+    _, index, inverse, unique_counts = np.unique(
+        np.column_stack(columns), axis=0,
+        return_index=True, return_inverse=True, return_counts=True,
+    )
+    assert np.array_equal(first, index)
+    assert np.array_equal(record_rows, inverse.reshape(-1))
+    assert np.array_equal(counts, unique_counts)
