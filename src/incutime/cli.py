@@ -90,6 +90,13 @@ def _load_body(fh, dtype) -> np.ndarray:
         warnings.filterwarnings(
             "ignore", "loadtxt: input contained no data", UserWarning
         )
+        # numpy releases from 1.23 read a cell that is not an integer under
+        # an integer dtype through float and truncate it (3.5 -> 3), with
+        # only this deprecation warning; as an error it fails the parse, as
+        # on releases where the deprecation has expired
+        warnings.filterwarnings(
+            "error", ".*parsing an integer via a float", DeprecationWarning
+        )
         return np.loadtxt(
             fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=dtype
         )
@@ -106,7 +113,7 @@ def _parse_body(fh, path: str, width: int) -> np.ndarray:
     body = fh.tell()
     try:
         values = _load_body(fh, np.int64)
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         pass
     else:
         if not values.size or (

@@ -10,9 +10,11 @@ per distinct record (a pattern) together with how many records share it.
 Every likelihood sum is then a count-weighted sum over patterns, and its cost
 scales with the number of distinct records rather than with n.  Finding the
 patterns is the one pass over all n records: a stable lexicographic sort of
-the record columns.  Day columns span a few dozen values, so each integer
-column whose span is below 2**16 is sorted as an offset from its minimum in
-an 8- or 16-bit unsigned copy, where numpy's stable sort is a radix sort.
+the record columns.  Each integer column whose span is below 2**16 is sorted
+as an offset from its minimum in an 8- or 16-bit unsigned copy, where
+numpy's stable sort is a radix sort; the day columns of the simulated and
+benchmark datasets span a few dozen values.  A wider column is sorted as
+int64, at the cost of the comparison sort.
 """
 
 from __future__ import annotations

@@ -168,6 +168,51 @@ def test_integer_file_is_parsed_once(tmp_path, monkeypatch):
     assert dtypes == [np.int64, float]
 
 
+def _truncating_loadtxt(monkeypatch):
+    """Make np.loadtxt behave as on numpy releases from 1.23 that still have
+    the integer-via-float deprecation: under an integer dtype a cell that is
+    not spelled as an integer is read through float and truncated, with only
+    a DeprecationWarning."""
+    loadtxt = np.loadtxt
+
+    def truncating(fh, *args, dtype=float, **kwargs):
+        if dtype is not np.int64:
+            return loadtxt(fh, *args, dtype=dtype, **kwargs)
+        start = fh.tell()
+        try:
+            return loadtxt(fh, *args, dtype=dtype, **kwargs)
+        except ValueError:
+            fh.seek(start)
+            values = loadtxt(fh, *args, dtype=float, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning, stacklevel=2)
+        with np.errstate(invalid="ignore"):
+            return values.astype(np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", truncating)
+
+
+@pytest.mark.parametrize("text, mode, expected", READER_CASES.values(),
+                         ids=list(READER_CASES))
+def test_reader_cases_hold_where_integer_parse_truncates(
+    tmp_path, monkeypatch, text, mode, expected
+):
+    _truncating_loadtxt(monkeypatch)
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        # the default outside __main__: the deprecation warning is not shown
+        warnings.simplefilter("ignore", DeprecationWarning)
+        if isinstance(expected, Dataset):
+            assert read_dataset_csv(str(path), mode) == validate_dataset(expected)
+            return
+        error, record_index = expected
+        with pytest.raises(error) as caught:
+            read_dataset_csv(str(path), mode)
+    assert type(caught.value) is error
+    assert getattr(caught.value, "record_index", None) == record_index
+
+
 def test_simulate_writes_expected_shapes(tmp_path):
     out = str(tmp_path / "single.csv")
     truth_out = str(tmp_path / "truth.csv")
