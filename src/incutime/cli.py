@@ -10,7 +10,8 @@ coverage   Monte Carlo coverage study of the interval methods
 Exit codes, by exception class: 0 success, 2 solver did not converge
 (NonConvergenceError, LineSearchError), 3 invalid input or arguments
 (DatasetValidationError, ValueError, OSError), 4 any other IncutimeError
-(infeasible or degenerate data, too many failed replicates).
+(infeasible or degenerate data, too many failed replicates) or MemoryError
+(a grid or matrix too large to allocate).
 """
 
 from __future__ import annotations
@@ -103,24 +104,13 @@ def _load_body(fh, dtype) -> np.ndarray:
 
 
 def _parse_body(fh, path: str, width: int) -> np.ndarray:
-    """The records after the header: int64 when every cell is an integer of
-    magnitude below 2**63 - 512, else float.
-
-    A larger integer rounds to +-2**63 as a float, which validation rejects
-    as beyond the int64 range, so it takes the float parse and fails as
-    before.
-    """
+    """The records after the header: int64 when every cell is an int64
+    integer, else float."""
     body = fh.tell()
     try:
-        values = _load_body(fh, np.int64)
+        return _load_body(fh, np.int64)
     except (ValueError, DeprecationWarning):
-        pass
-    else:
-        if not values.size or (
-            -(2.0**63) < float(values.min()) and float(values.max()) < 2.0**63
-        ):
-            return values
-    fh.seek(body)
+        fh.seek(body)
     try:
         return _load_body(fh, float)
     except ValueError:
@@ -133,9 +123,10 @@ def read_dataset_csv(path: str, mode: str) -> Dataset:
     """Read a dataset CSV: header ``e,s`` or ``e,sl,sr``, one record a line.
 
     Cells spelled as integers are read as exact int64 values.  Only a file
-    with some other cell (``3.0``, ``1e3``, ``inf``, text, an integer of
-    magnitude 2**63 - 512 or more) or a wrong field count is parsed again as
-    float, which reads it or fails as a float parse always did.
+    with some other cell (``3.0``, ``1e3``, ``inf``, text, an integer beyond
+    the int64 range) or a wrong field count is parsed again as float, which
+    reads it or fails as a float parse always did.  Validation then rejects
+    any value of magnitude 2**53 or more.
 
     Raises DatasetValidationError for a wrong header, a record with the
     wrong number of fields (``record_index`` counts records, so blank lines
@@ -446,6 +437,9 @@ def main(argv=None) -> int:
         return 3
     except IncutimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 4
 
 

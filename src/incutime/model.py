@@ -86,22 +86,33 @@ class Dataset:
         )
 
 
-def _as_int_column(values: np.ndarray, name: str) -> np.ndarray:
-    """Coerce a column to int64, rejecting non-integral entries by record.
+# Up to this magnitude every integer is exact in float64, the weight kernels'
+# arithmetic; no grid that long could be fitted anyway.
+_DAY_LIMIT = 2**53
 
-    A non-finite entry, or one outside the int64 range, is rejected the same
-    way, so the cast never wraps it around.
+
+def _as_int_column(values: np.ndarray, name: str) -> np.ndarray:
+    """Coerce a column to int64, rejecting by record any entry that is not
+    an integer of magnitude below 2**53.
+
+    A non-finite entry is rejected the same way, so the cast never wraps
+    anything around.
     """
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind in "iu":
+        # min and max neither wrap at -2**63, as np.abs does, nor leave
+        # n-sized temporaries on the heap for a valid column
+        if not arr.size or (-_DAY_LIMIT < arr.min() and arr.max() < _DAY_LIMIT):
+            return arr.astype(np.int64)
+        bad = np.flatnonzero((arr <= -_DAY_LIMIT) | (arr >= _DAY_LIMIT))
+    else:
         rounded = np.floor(arr)
-        bad = np.flatnonzero((arr != rounded) | ~(np.abs(rounded) < 2.0**63))
-        if bad.size:
-            raise DatasetValidationError(
-                f"{name} = {arr[bad[0]]} is not an integer in the int64 range",
-                record_index=int(bad[0]),
-            )
-        arr = rounded
+        bad = np.flatnonzero((arr != rounded) | ~(np.abs(rounded) < _DAY_LIMIT))
+    if bad.size:
+        raise DatasetValidationError(
+            f"{name} = {arr[bad[0]]} is not an integer of magnitude below 2**53",
+            record_index=int(bad[0]),
+        )
     return arr.astype(np.int64)
 
 

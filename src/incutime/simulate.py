@@ -4,19 +4,24 @@ The generative model draws an exposure window length E, an infection moment
 I uniform on [0, E], and an incubation time U from the truth distribution;
 symptom onset happens at I + U.  Single mode reports the onset day
 ceil(I + U); double mode reports an integer onset window around it.
+
+The truth is a truncated Weibull or a truncated exponential on [0, m1].
+Both have closed-form day integrals, so the coverage targets Fbar(i) need
+no quadrature and the module runs on numpy and ``math`` alone.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .model import Dataset, validate_dataset
+from .parametric import TruncExpParams, trunc_exp_cdf, trunc_exp_fbar
 
-FAMILIES = ("weibull", "truncexp", "custom")
+FAMILIES = ("weibull", "truncexp")
 
 # Defaults matching the simulation studies in the acceptance suite.  The
 # Weibull truth uses cdf (1 - exp(-b x^a)) / (1 - exp(-b m1^a)) on [0, m1],
@@ -27,13 +32,16 @@ WEIBULL_B = 0.0026
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Ground-truth incubation distribution on [0, m1]."""
+    """Ground-truth incubation distribution on [0, m1].
+
+    ``family`` is ``"weibull"``, with cdf proportional to 1 - exp(-b x^a),
+    or ``"truncexp"``, an exponential with scale ``a`` (``b`` unused).
+    """
 
     family: str
     a: float | None = None
     b: float | None = None
     m1: int = 15
-    cdf: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -45,59 +53,87 @@ class TruthSpec:
                 raise ValueError("weibull truth needs both a and b")
             if self.a <= 0 or self.b <= 0:
                 raise ValueError("weibull parameters must be positive")
-        elif self.family == "truncexp":
-            if self.a is None or self.a <= 0:
-                raise ValueError("truncexp truth needs a positive scale a")
-        elif self.cdf is None:
-            raise ValueError("custom truth needs a cdf callable")
+        elif self.a is None or self.a <= 0:
+            raise ValueError("truncexp truth needs a positive scale a")
 
 
 @dataclass(frozen=True)
 class ExposureSpec:
-    """Exposure window length distribution on {1, ..., m2} (uniform default)."""
+    """Exposure window length, uniform on {1, ..., m2}."""
 
     m2: int = 15
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.m2 < 1:
             raise ValueError("m2 must be >= 1")
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
-            if w.shape != (self.m2,):
-                raise ValueError("weights must have length m2")
-            if np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("weights must be nonnegative and sum to > 0")
-            object.__setattr__(self, "weights", w / w.sum())
 
 
 def truth_cdf(x, spec: TruthSpec):
     """Truth distribution function at x (scalar or array)."""
+    if spec.family == "truncexp":
+        return trunc_exp_cdf(x, TruncExpParams(a=spec.a, m1=spec.m1))
     x = np.asarray(x, dtype=float)
     inside = np.clip(x, 0.0, spec.m1)
-    if spec.family == "weibull":
-        body = -np.expm1(-spec.b * inside**spec.a)
-        body = body / -np.expm1(-spec.b * float(spec.m1) ** spec.a)
-    elif spec.family == "truncexp":
-        body = -np.expm1(-inside / spec.a)
-        body = body / -np.expm1(-spec.m1 / spec.a)
-    else:
-        body = np.asarray(spec.cdf(inside), dtype=float)
+    body = -np.expm1(-spec.b * inside**spec.a)
+    body = body / -np.expm1(-spec.b * float(spec.m1) ** spec.a)
     out = np.where(x <= 0.0, 0.0, np.where(x >= spec.m1, 1.0, body))
     return float(out) if out.ndim == 0 else out
 
 
+_EPS = 2.0**-52  # float64 machine epsilon
+
+
+def _survival_integral(end: float, a: float, b: float) -> float:
+    """Integral of exp(-b u^a) over [0, end], for a, b > 0 and end >= 0.
+
+    With s = 1/a and x = b end^a this is b^-s / a * gamma_lower(s, x)
+    (Abramowitz & Stegun 6.5.29).  As in Numerical Recipes (3rd ed.,
+    section 6.2), gamma_lower is the series x^s e^-x sum_k x^k / (s (s+1)
+    ... (s+k)) below x = s + 1, and Gamma(s) minus the upper function
+    x^s e^-x h, h a continued fraction evaluated by Lentz's method, above.
+    The factor b^-s x^s / (a s) is exactly ``end`` and is not formed, so a
+    small shape a neither overflows b^-s or Gamma(s) nor loses digits.
+    """
+    s = 1.0 / a
+    x = b * end**a
+    if x < s + 1.0:
+        term = total = 1.0
+        k = s
+        while term > total * _EPS:
+            k += 1.0
+            term *= x / k
+            total += term
+        return end * math.exp(-x) * total
+    # for x >= s + 1 no denominator comes near 0 and h converges within
+    # about 100 terms
+    bn = x + 1.0 - s
+    d = h = 1.0 / bn
+    c = math.inf
+    for n in range(1, 1000):
+        an = -n * (n - s)
+        bn += 2.0
+        d = 1.0 / (an * d + bn)
+        c = bn + an / c
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    # Gamma(s) b^-s / a = Gamma(s + 1) b^-s, the integral over [0, inf)
+    whole = math.exp(math.lgamma(s + 1.0) - s * math.log(b))
+    return whole - end * math.exp(-x) * h / a
+
+
 def true_fbar(spec: TruthSpec, i: int) -> float:
     """Day-averaged truth value: integral of the truth cdf over (i-1, i]."""
-    # imported here to keep scipy.integrate out of every command's start-up
-    from scipy.integrate import quad
-
     if i < 1:
         raise ValueError("day index must be >= 1")
+    if spec.family == "truncexp":
+        return trunc_exp_fbar(i, TruncExpParams(a=spec.a, m1=spec.m1))
     if i > spec.m1:
         return 1.0
-    value, _ = quad(lambda x: truth_cdf(x, spec), i - 1, i, epsabs=1e-10, limit=200)
-    return float(value)
+    a, b = spec.a, spec.b
+    day = _survival_integral(i, a, b) - _survival_integral(i - 1, a, b)
+    return (1.0 - day) / -math.expm1(-b * float(spec.m1) ** a)
 
 
 def draw_incubation(n: int, spec: TruthSpec, rng: np.random.Generator) -> np.ndarray:
@@ -126,7 +162,7 @@ def _check_identifiable(truth: TruthSpec, exposure: ExposureSpec) -> None:
 
 def _draw_exposures(n: int, exposure: ExposureSpec, rng: np.random.Generator):
     days = np.arange(1, exposure.m2 + 1)
-    return rng.choice(days, size=n, p=exposure.weights)
+    return rng.choice(days, size=n)
 
 
 def singly_records_from_draws(e, infection, incubation):

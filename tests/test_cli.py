@@ -113,12 +113,10 @@ READER_CASES = {
     "signed and spaced integers": (
         "e,s\n+3, 5\n 4 ,+6\n", "single", Dataset.singly([3, 4], [5, 6])
     ),
-    # integer cells are read as int64, not rounded through float64
+    # validation rejects every day value of magnitude 2**53 or more
     "integer above 2**53": (
-        "e,s\n1,9007199254740993\n", "single",
-        Dataset.singly([1], [9007199254740993]),
+        "e,s\n1,9007199254740993\n", "single", (DatasetValidationError, 0)
     ),
-    # these round to +-2**63 as floats, beyond the int64 range
     "largest int64": (
         "e,s\n1,2\n1,9223372036854775807\n", "single", (DatasetValidationError, 1)
     ),
@@ -126,8 +124,11 @@ READER_CASES = {
         "e,sl,sr\n1,-9223372036854775296,2\n", "double", (DatasetValidationError, 0)
     ),
     "largest integer below 2**63 - 512": (
-        "e,s\n1,9223372036854775295\n", "single",
-        Dataset.singly([1], [9223372036854775295]),
+        "e,s\n1,9223372036854775295\n", "single", (DatasetValidationError, 0)
+    ),
+    # -2**63 is its own absolute value in int64
+    "least int64": (
+        "e,sl,sr\n1,-9223372036854775808,2\n", "double", (DatasetValidationError, 0)
     ),
 }
 
@@ -467,20 +468,33 @@ def test_exit_code_for_every_package_error(tmp_path, monkeypatch, capsys, error,
 
 
 def test_cli_import_and_wald_ci_load_no_scipy(tmp_path):
-    # importing scipy costs more start-up than numpy itself; fit and ci run on
-    # numpy alone, and only coverage and simulate --truth-out load
-    # scipy.integrate, when they integrate the true curve
-    data = tmp_path / "d.csv"
-    _write_singly(data, [(1, 3), (2, 6), (1, 8), (3, 5), (2, 10), (1, 2)])
-    argv = ["ci", "--mode", "single", "--data", str(data), "--method", "wald",
-            "--m1", "10", "--out", str(tmp_path / "ci.csv")]
+    # importing scipy costs more start-up than numpy itself; every command
+    # runs on numpy alone, so each still succeeds with scipy blocked, which
+    # makes any import of it fail
+    single = str(tmp_path / "single.csv")
+    double = str(tmp_path / "double.csv")
+    out = str(tmp_path / "out.csv")
+    runs = [
+        ["simulate", "--mode", "single", "--model", "weibull", "--n", "300",
+         "--seed", "5", "--out", single, "--truth-out", out],
+        ["simulate", "--mode", "double", "--model", "truncexp", "--n", "300",
+         "--seed", "5", "--out", double, "--truth-out", out],
+        ["fit", "--mode", "single", "--data", single, "--out", out],
+        ["ci", "--mode", "single", "--data", single, "--method", "wald",
+         "--m1", "15", "--out", out],
+        ["ci", "--mode", "single", "--data", single, "--method", "bootstrap",
+         "--b", "5", "--m1", "15", "--out", out],
+        ["ci", "--mode", "double", "--data", double, "--method", "wald",
+         "--fisher-averaged", "--b", "5", "--m1", "15", "--out", out],
+        ["coverage", "--mode", "single", "--method", "wald", "--n", "30",
+         "--reps", "2", "--out", out],
+    ]
     code = (
-        "import incutime.cli, sys\n"
-        "def scipy_modules():\n"
-        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
-        "assert not scipy_modules(), scipy_modules()\n"
-        f"assert incutime.cli.main({argv!r}) == 0\n"
-        "assert not scipy_modules(), scipy_modules()\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import incutime.cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert incutime.cli.main(argv) == 0, argv\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     result = subprocess.run([sys.executable, "-c", code], env=env,
@@ -497,6 +511,28 @@ def test_exit_code_infeasible_record(tmp_path):
     code = main(["fit", "--mode", "double", "--data", str(path), "--m1", "2",
                  "--out", out])
     assert code == 4
+
+
+def test_onset_bound_of_2_53_is_invalid_input(tmp_path, capsys):
+    # beyond 2**53 the float64 double-mode kernel cancels to 0, which would
+    # make this record look like one no grid day can explain (exit 4)
+    path = tmp_path / "d.csv"
+    path.write_text("e,sl,sr\n1,0,10000000000000000\n2,0,3\n")
+    assert main(["fit", "--mode", "double", "--m1", "15", "--data", str(path),
+                 "--out", str(tmp_path / "fit.csv")]) == 3
+    assert capsys.readouterr().err.startswith("error: record 0: s_r = ")
+
+
+def test_grid_too_wide_to_allocate_exits_4(tmp_path, capsys):
+    # s = 2**52 passes validation, but its grid of 2**52 days asks for
+    # 32 PiB, which fails at once whatever the overcommit setting
+    path = tmp_path / "d.csv"
+    _write_singly(path, [(1, 2**52), (2, 3)])
+    assert main(["fit", "--mode", "single", "--data", str(path),
+                 "--out", str(tmp_path / "fit.csv")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
 
 
 def test_exit_code_degenerate_fit(tmp_path):

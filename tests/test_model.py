@@ -48,6 +48,16 @@ def test_validate_rejects_non_integer_cells_with_record_index():
     assert err.value.record_index == 1
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64, np.float64])
+def test_validate_rejects_days_of_magnitude_2_53(dtype):
+    below = Dataset.doubly([1, 1], [0, 0], np.array([2**53 - 1, 3], dtype=dtype))
+    assert validate_dataset(below).s_r[0] == 2**53 - 1
+    above = Dataset.doubly([1, 1], [0, 0], np.array([3, 2**53], dtype=dtype))
+    with pytest.raises(DatasetValidationError) as err:
+        validate_dataset(above)
+    assert err.value.record_index == 1
+
+
 def test_validate_rejects_nonpositive_exposure():
     with pytest.raises(DatasetValidationError) as err:
         validate_dataset(Dataset.singly([0], [3]))

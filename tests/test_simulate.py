@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
+import incutime.simulate
 from incutime import (
     ExposureSpec,
+    TruncExpParams,
     TruthSpec,
     draw_doubly,
     draw_singly,
+    trunc_exp_fbar,
     true_fbar,
     truth_cdf,
 )
@@ -40,10 +44,34 @@ def test_truth_cdf_interior_values():
     assert truth_cdf(6.0, TRUNCEXP) == pytest.approx(TRUNCEXP_CDF_AT_6, abs=1e-13)
 
 
-def test_true_fbar_uniform_custom_cdf():
-    spec = TruthSpec(family="custom", m1=10, cdf=lambda x: x / 10.0)
-    for i in range(1, 11):
-        assert true_fbar(spec, i) == pytest.approx((i - 0.5) / 10.0, abs=1e-10)
+@pytest.mark.parametrize("a", [0.005, 0.1, 0.3, 0.5, 1.0, 2.0, WEIBULL_A, 5.0, 8.0])
+@pytest.mark.parametrize("b", [WEIBULL_B, 0.05, 0.5])
+def test_weibull_true_fbar_matches_quadrature(a, b):
+    # the grid spans both branches of the incomplete gamma evaluation; at
+    # a = 0.005, b^(-1/a) and Gamma(1/a) would overflow if they were formed
+    spec = TruthSpec(family="weibull", a=a, b=b, m1=15)
+    for i in range(1, 16):
+        exact, _ = integrate.quad(
+            lambda x: truth_cdf(x, spec), i - 1, i, epsabs=1e-13, limit=200
+        )
+        assert true_fbar(spec, i) == pytest.approx(exact, abs=1e-10)
+
+
+def test_weibull_shape_one_is_the_truncated_exponential():
+    # two closed forms checked against each other: 1 - exp(-b x) is the
+    # exponential cdf with scale 1/b
+    for b in (WEIBULL_B, 0.05, 0.5, 2.0):
+        spec = TruthSpec(family="weibull", a=1.0, b=b, m1=15)
+        params = TruncExpParams(a=1.0 / b, m1=15)
+        for i in range(1, 17):
+            assert true_fbar(spec, i) == pytest.approx(
+                trunc_exp_fbar(i, params), abs=1e-13
+            )
+
+
+def test_truncexp_true_fbar_is_the_parametric_closed_form():
+    for i in range(1, 17):
+        assert true_fbar(TRUNCEXP, i) == trunc_exp_fbar(i, TruncExpParams(6.0, 15))
 
 
 def test_true_fbar_truncexp_value():
@@ -93,13 +121,17 @@ def test_doubly_window_left_end_clips_at_zero():
     assert s_l[0] == 0 and s_r[0] == 1
 
 
-def test_doubly_offset_frequencies():
-    # degenerate truth with all incubation mass at day 5 and one-day exposure
-    # windows pins ceil(S) at 6, so the window ends expose the offsets directly
-    spec = TruthSpec(family="custom", m1=15, cdf=lambda x: (x >= 5.0) * 1.0)
+def test_doubly_offset_frequencies(monkeypatch):
+    # every incubation time at day 5 and one-day exposure windows pin ceil(S)
+    # at 6, so the window ends expose the offsets directly
+    def at_day_5(n, spec, rng):
+        rng.random(n)  # the draw's share of the stream, as inverse-cdf sampling
+        return np.full(n, 5.0)
+
+    monkeypatch.setattr(incutime.simulate, "draw_incubation", at_day_5)
     n = 40_000
     with pytest.warns(UserWarning):  # m2=1 trips the identifiability warning
-        data = draw_doubly(n, spec, ExposureSpec(m2=1), seed=52)
+        data = draw_doubly(n, TRUNCEXP, ExposureSpec(m2=1), seed=52)
     sigma = np.sqrt(n * 0.25 * 0.75)
     for d in range(4):
         assert abs(np.sum(data.s_r == 6 + d) - n / 4) < 3 * sigma
