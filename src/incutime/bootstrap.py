@@ -8,12 +8,14 @@ F*_b(t) - F_hat(t): the level-alpha interval at day t is
 
 A resample is a multinomial reweighting of the records (Efron & Tibshirani,
 1993), so a replicate never materializes a dataset: its drawn record indices
-are reduced to counts over the distinct-record rows of the fit's weight
-matrix, and the refit runs on the rows that occur.  Those rows are a subset
-of the fit's, so the point fit's masses give every one of them a positive
-term, and each refit starts there, with their support as its first working
-set, instead of at the uniform vector: it needs fewer outer iterations and
-fewer normal-equation solves to reach the same certificate.
+are reduced to a count vector over the rows of the fit's weight matrix, 0
+on every row it did not draw.  The replicates are refitted together, up to
+``BATCH_CAP`` at a time, by the solver's lockstep engine, which drops a
+zero-count row out of every sum.  Every row a replicate draws is a row of
+the fit's, so the point fit's masses give it a positive term, and each
+refit starts there, with their support as its first working set, instead
+of at the uniform vector: it needs fewer outer iterations and fewer
+normal-equation solves to reach the same certificate.
 ``refit_replicates`` is the one replicate engine behind both the bootstrap
 and Fisher averaging, and ``check_replicate_failures`` their one failure
 policy.
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BootstrapFailureError, IncutimeError
+from .errors import BootstrapFailureError
 from .inference import IntervalRow, IntervalTable
 from .model import Dataset, cdf_from_mass
-from .solver import SolverConfig, _minimize, fit_weights
+from .solver import SolverConfig, _minimize_batch, fit_weights
 from .weights import WeightMatrix
 
 
@@ -59,16 +61,16 @@ def resample(data: Dataset, seed, replicate_index: int) -> Dataset:
     return data.take(_replicate_indices(seed, replicate_index, data.n))
 
 
-def _refit_rows(
-    W: WeightMatrix, idx: np.ndarray, config: SolverConfig, start: np.ndarray
-) -> tuple[WeightMatrix, np.ndarray]:
-    """Refit on the records idx from the grid masses start.
+# Replicates refitted in one batch.  The batch's arrays grow with it (B x rows
+# counts and terms, B x m x m model matrices), so the cap bounds memory at
+# any replicate count.
+BATCH_CAP = 256
 
-    Returns the records' weight matrix and the fitted grid masses.
-    """
-    sub = W.take(idx)
-    masses, _ = _minimize(sub, config, start)
-    return sub, masses
+
+def _replicate_counts(W: WeightMatrix, seed, replicate_index: int) -> np.ndarray:
+    """Replicate's count of drawn records on each row of W."""
+    drawn = W.record_rows[_replicate_indices(seed, replicate_index, W.n)]
+    return np.bincount(drawn, minlength=W.dense.shape[0])
 
 
 def refit_replicates(
@@ -78,10 +80,11 @@ def refit_replicates(
 
     Replicate k draws the records of ``resample(data, seed, k)``, and its
     refit starts at ``start``, the point fit's grid masses.  Returns an
-    iterator that yields, in replicate order, ``(sub, masses)`` with the
-    replicate's weight matrix and fitted grid masses, or None when the refit
-    raises any IncutimeError; the caller decides how many failures it
-    tolerates.
+    iterator that yields, in replicate order, ``(counts, masses)`` with the
+    replicate's count vector over the rows of W and its fitted grid masses,
+    or None when the refit raised any IncutimeError; the caller decides how
+    many failures it tolerates.  A failed replicate leaves the others
+    unchanged.
 
     Raises ValueError, before any replicate is drawn, when ``start`` gives
     some record of W a zero likelihood term: every refit would fail there.
@@ -93,13 +96,14 @@ def refit_replicates(
         )
 
     def refits():
-        for k in range(b):
-            idx = _replicate_indices(seed, k, W.n)
-            try:
-                result = _refit_rows(W, idx, config, start)
-            except IncutimeError:
-                result = None
-            yield result
+        for first in range(0, b, BATCH_CAP):
+            batch = range(first, min(b, first + BATCH_CAP))
+            counts = np.empty((len(batch), W.dense.shape[0]))
+            for row, k in zip(counts, batch):
+                row[:] = _replicate_counts(W, seed, k)
+            masses, errors, _ = _minimize_batch(W, counts, config, start)
+            for row, probs, error in zip(counts, masses, errors):
+                yield None if error is not None else (row, probs)
 
     return refits()
 

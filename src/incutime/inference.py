@@ -79,7 +79,7 @@ class FisherResult:
 
 
 def observed_fisher(
-    weights: WeightMatrix, masses: np.ndarray, support
+    weights: WeightMatrix, masses: np.ndarray, support, counts=None
 ) -> np.ndarray:
     """Count-weighted observed information from weight-matrix columns.
 
@@ -89,8 +89,11 @@ def observed_fisher(
     first l - 1 mass points, m is the last one, w_i is the record's weight
     row (interval indicator in single mode, window kernel in double mode)
     and d_i = sum_t w_i(t) p_t its fitted probability under ``masses``,
-    the fitted mass vector over the grid.
+    the fitted mass vector over the grid.  ``counts`` replaces the matrix's
+    own counts with a replicate's count vector over its rows; the rows the
+    replicate did not draw drop out.
     """
+    counts = weights.counts if counts is None else counts
     support = np.asarray(support, dtype=int)
     if support.size < 2:
         raise DegenerateFitError("information matrix needs at least 2 mass points")
@@ -99,16 +102,17 @@ def observed_fisher(
         raise ValueError("support days must be grid points")
     cols = np.searchsorted(points, support)
     denom = weights.dense @ masses
-    bad = np.flatnonzero(denom <= 0.0)
+    drawn = counts > 0.0
+    bad = np.flatnonzero((denom <= 0.0) & drawn)
     if bad.size:
         raise DegenerateFitError(
             f"record {weights.record_of(int(bad[0]))} has zero fitted probability"
         )
     at_support = weights.dense[:, cols]
     centered = (at_support[:, :-1] - at_support[:, [-1]]) * (
-        weights.root_counts / denom
+        np.sqrt(counts) / np.where(drawn, denom, 1.0)
     )[:, None]
-    return (centered.T @ centered) / weights.n
+    return (centered.T @ centered) / counts.sum()
 
 
 def averaged_inverse_information(
@@ -133,10 +137,11 @@ def averaged_inverse_information(
     over b = 1 reproduces the inverse of the plain matrix of that single
     resample.
 
-    Replicates come from the bootstrap's replicate engine: each one reweights
-    the rows of the fit's weight matrix, so no dataset is copied and no
-    weight is evaluated twice, and refits them starting at ``masses`` with
-    their support as the first working set.
+    Replicates come from the bootstrap's replicate engine: each one is a
+    count vector over the rows of the fit's weight matrix, so no dataset is
+    copied and no weight is evaluated twice, and the engine refits them
+    together, starting at ``masses`` with their support as the first
+    working set.
     """
     from .bootstrap import check_replicate_failures, refit_replicates
 
@@ -150,9 +155,9 @@ def averaged_inverse_information(
         if result is None:
             skipped += 1
             continue
-        sub, refit = result
+        counts, refit = result
         try:
-            fisher = observed_fisher(sub, refit, support)
+            fisher = observed_fisher(weights, refit, support, counts)
             inverse = spd_invert(fisher)
         except (DegenerateFitError, SingularMatrixError):
             skipped += 1

@@ -3,7 +3,8 @@
 The solver and the information-matrix pipeline only ever factor matrices of
 the order of the support size (a few dozen at most).  A Cholesky
 factorization tests every matrix before its solve or inverse, and failure
-reports the offending pivot instead of silently regularizing.  A pivot
+reports the offending pivot instead of silently regularizing.  The solver
+tests and solves stacks of such matrices, one per replicate, at once.  A pivot
 fails when it is non-finite or when L_jj**2 <= PIVOT_TOL * a_jj: the
 factorization of an exactly singular matrix can end on a rounding-sized
 positive pivot, and the solve or inverse behind it would then fail or
@@ -39,15 +40,12 @@ def _factor(a: np.ndarray) -> np.ndarray | None:
     return low if (pivots * pivots > PIVOT_TOL * np.diagonal(a)).all() else None
 
 
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = a; raises on the first bad pivot.
+def _failing_pivot(a: np.ndarray) -> int:
+    """First bad pivot of a matrix that does not factor.
 
     The leading blocks that end before that pivot factor and the others
-    fail, so on failure a bisection over them finds it.
+    fail, so a bisection over them finds it.
     """
-    low = _factor(a)
-    if low is not None:
-        return low
     good, bad = 0, np.shape(a)[0]  # orders of a leading block that factors / fails
     while bad - good > 1:
         mid = (good + bad) // 2
@@ -55,12 +53,62 @@ def cholesky_factor(a: np.ndarray) -> np.ndarray:
             bad = mid
         else:
             good = mid
-    raise SingularMatrixError(pivot=bad - 1)
+    return bad - 1
+
+
+def cholesky_factor(a: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L L^T = a; raises on the first bad pivot."""
+    low = _factor(a)
+    if low is None:
+        raise SingularMatrixError(pivot=_failing_pivot(a))
+    return low
+
+
+def cholesky_pivots(a: np.ndarray) -> dict[int, int]:
+    """First bad pivot of each matrix of a stack (g, k, k) that fails to
+    factor, keyed by its position in the stack.
+
+    One stacked factorization tests the whole stack.  numpy raises for the
+    whole stack when one matrix fails, so then each matrix is factored on
+    its own, and each one that fails has its pivot found by bisection.
+    """
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        factors = [_factor(one) is not None for one in a]
+    else:
+        pivots = low.diagonal(0, -2, -1)
+        passed = pivots * pivots > PIVOT_TOL * a.diagonal(0, -2, -1)
+        if np.count_nonzero(passed) == passed.size:
+            return {}
+        factors = passed.all(axis=-1)
+    return {i: _failing_pivot(a[i]) for i, ok in enumerate(factors) if not ok}
+
+
+def spd_solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Solve a[i] x[i] = rhs[i] for a stack (g, k, k) of same-order matrices.
+
+    Returns ``(x, failed)`` with ``failed`` from ``cholesky_pivots``; the
+    rows of x whose matrix fails are zero.  numpy solves a stack one matrix
+    at a time, so each solution is bit for bit the solution of its matrix
+    alone, whatever else the stack holds.
+    """
+    failed = cholesky_pivots(a)
+    if not failed:
+        return np.linalg.solve(a, rhs[..., None])[..., 0], failed
+    x = np.zeros(rhs.shape)
+    ok = np.ones(len(a), dtype=bool)
+    ok[list(failed)] = False
+    if ok.any():
+        x[ok] = np.linalg.solve(a[ok], rhs[ok][..., None])[..., 0]
+    return x, failed
 
 
 def spd_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    cholesky_factor(a)
-    return np.linalg.solve(a, rhs)
+    x, failed = spd_solve_stack(a[None], rhs[None])
+    if failed:
+        raise SingularMatrixError(pivot=failed[0])
+    return x[0]
 
 
 def spd_invert(a: np.ndarray) -> np.ndarray:

@@ -33,6 +33,16 @@ Identical records give identical terms, so every sum over records is taken
 as a count-weighted sum over the distinct records (the rows of the
 ``WeightMatrix``); the cost of an iteration scales with the number of
 distinct records, not with n.
+
+One engine, ``_minimize_batch``, fits a batch of count vectors over the rows
+of one matrix in lockstep: every uncertified member advances through each
+outer iteration together, and its terms, criterion, gradient, certificate
+and line search trials are stacked products.  The point fit is the batch
+of one with the matrix's own counts; bootstrap and Fisher-averaging
+replicates are larger batches, whose members give 0 to the rows they did
+not draw.  Every stacked product, solve and factorization runs one member
+at a time inside numpy, so a member's arithmetic is that of its batch of
+one, and a member that fails is dropped without touching the others.
 """
 
 from __future__ import annotations
@@ -42,12 +52,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    IncutimeError,
     InfeasiblePointError,
-    LineSearchError,
     NonConvergenceError,
     SingularMatrixError,
 )
-from .linalg import spd_solve
+from .linalg import spd_solve, spd_solve_stack
 from .model import Dataset, Grid, MassFunction
 from .weights import WeightMatrix, build_weight_matrix
 
@@ -55,6 +65,8 @@ from .weights import WeightMatrix, build_weight_matrix
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 ARMIJO_SHRINK = 0.5  # step shrink factor of the line search
 INNER_TOL = 1e-12  # gradient tolerance of the quadratic subproblem
+_TINY = np.nextafter(0.0, 1.0)
+_RESOLUTION = 8.0 * np.finfo(float).eps  # relative resolution of a criterion value
 
 
 @dataclass(frozen=True)
@@ -113,18 +125,69 @@ def _positive_terms(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     return terms
 
 
+# The batch functions below take one row per replicate: masses (B, m), and
+# terms and counts (B, rows) over the rows of one weight matrix.  Their
+# stacked products run one matrix-vector product or dot per replicate, so a
+# replicate's arithmetic is that of a batch of one, whatever else the batch
+# holds.
+
+
+def _terms(p: np.ndarray, dense: np.ndarray) -> np.ndarray:
+    """Likelihood terms sum_j p_j w_i(j) of every replicate, (B, rows)."""
+    return np.matmul(dense, p[:, :, None])[..., 0]
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Row-wise inner products."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+
+def _drawn_terms(terms: np.ndarray) -> np.ndarray:
+    """The terms floored at the least positive double.
+
+    A row a replicate did not draw (count 0) drops out of every
+    count-weighted sum, but its term may be zero or negative; the floor
+    keeps its log and reciprocal finite, and leaves every positive term
+    alone.
+    """
+    return np.fmax(terms, _TINY)
+
+
+def _criteria(p, terms, counts, n) -> np.ndarray:
+    """phi of every replicate; ``n`` holds the replicates' record counts."""
+    logs = _drawn_terms(terms)
+    np.log(logs, out=logs)
+    return -_dots(counts, logs) / n + p.sum(axis=1) - 1.0
+
+
+def _gradients(terms, counts, n, dense: np.ndarray) -> np.ndarray:
+    """Gradients of phi of every replicate, (B, m)."""
+    ratios = _drawn_terms(terms)
+    np.divide(counts, ratios, out=ratios)
+    return 1.0 - np.matmul(dense.T, ratios[:, :, None])[..., 0] / n[:, None]
+
+
+def _residuals(p: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both certificate residuals of every replicate."""
+    return grad.min(axis=1), np.abs(_dots(p, grad))
+
+
+def _point_counts(weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
+    return weights.counts[None], np.array([float(weights.n)])
+
+
 def phi(p: np.ndarray, weights: WeightMatrix, terms=None) -> float:
     """Criterion value; raises if any likelihood term vanishes."""
     if terms is None:
         terms = _positive_terms(p, weights)
-    return float(-(weights.counts @ np.log(terms)) / weights.n + p.sum() - 1.0)
+    return float(_criteria(p[None], terms[None], *_point_counts(weights))[0])
 
 
 def phi_gradient(p: np.ndarray, weights: WeightMatrix, terms=None) -> np.ndarray:
     """dphi/dp_j = 1 - (1/n) sum_i w_i(j) / (sum_k p_k w_i(k))."""
     if terms is None:
         terms = _positive_terms(p, weights)
-    return 1.0 - (weights.dense.T @ (weights.counts / terms)) / weights.n
+    return _gradients(terms[None], *_point_counts(weights), weights.dense)[0]
 
 
 def fenchel_residuals(
@@ -133,49 +196,61 @@ def fenchel_residuals(
     """(min over the grid of dphi/dp_j, |<p, grad phi>|); ``grad`` is p's gradient."""
     if grad is None:
         grad = phi_gradient(p, weights, terms)
-    return float(grad.min()), float(abs(p @ grad))
+    min_grad, comp = _residuals(p[None], grad[None])
+    return float(min_grad[0]), float(comp[0])
 
 
 class _QuadraticModel:
-    """Second-order expansion of phi at p0, shared across one inner pass.
+    """Second-order expansions of phi at every replicate's iterate p0,
+    shared across one inner pass.
 
-    With d_i = sum_j p0_j w_i(j) the model is Q(p) = (1/2) p'Gp - b'p where
+    With d_i = sum_j p0_j w_i(j) a replicate's model is
+    Q(p) = (1/2) p'Gp - b'p where
     G_kl = (1/n) sum_i c_i w_i(k) w_i(l) / d_i^2 and
     b_k  = (2/n) sum_i c_i w_i(k) / d_i - 1,
-    summed over the distinct records i with counts c_i.
+    summed over the rows i with the replicate's counts c_i.
     G is the exact Hessian and grad Q(p0) = grad phi(p0), so minimizing Q
-    over the cone is a projected Newton step.
+    over the cone is a projected Newton step.  ``gram`` stacks the G and
+    ``b`` the b of the replicates, one per row of ``terms``.
     """
 
-    def __init__(self, weights: WeightMatrix, p0: np.ndarray, terms=None):
-        d = _positive_terms(p0, weights) if terms is None else terms
+    def __init__(self, weights: WeightMatrix, terms, counts, n):
         # rows scaled by sqrt(count) / d_i, so that the count-weighted sums
-        # are plain products and the Gram matrix is exactly symmetric
-        root = weights.root_counts
-        scaled = weights.dense * (root / d)[:, None]
-        self.b = 2.0 * (root @ scaled) / weights.n - 1.0
-        self.gram = (scaled.T @ scaled) / weights.n
+        # are plain products and each Gram matrix is exactly symmetric; one
+        # replicate at a time, so that no (B, rows, m) array is formed
+        m = weights.m
+        self._columns = np.arange(m)[:, None]
+        self.b = np.empty((len(counts), m))
+        self.gram = np.empty((len(counts), m, m))
+        for r, (drawn, d) in enumerate(zip(counts, terms)):
+            root = np.sqrt(drawn)
+            scaled = weights.dense * (root / _drawn_terms(d))[:, None]
+            self.b[r] = 2.0 * (root @ scaled) / n[r] - 1.0
+            self.gram[r] = (scaled.T @ scaled) / n[r]
 
-    def solve(self, support: list[int]) -> np.ndarray:
-        """Unconstrained normal-equation solve restricted to the support.
+    def solve(self, reps: np.ndarray, supports: np.ndarray):
+        """Unconstrained normal-equation solves restricted to supports.
 
-        A weight column (over the distinct records) that is a linear
-        combination of the support columns before it makes the normal matrix
-        singular, and the Cholesky factorization stops at its pivot: raises
-        SingularMatrixError with that column's position in ``support``.
+        Row i of ``supports`` holds the k sorted grid indices of replicate
+        ``reps[i]``.  Returns ``(solutions, failed)`` as ``spd_solve_stack``
+        does: a weight column (over the drawn rows) that is a linear
+        combination of the support columns before it makes its normal
+        matrix singular, and ``failed`` maps i to that column's position.
         """
-        idx = np.asarray(support, dtype=int)
-        return spd_solve(self.gram[np.ix_(idx, idx)], self.b[idx])
+        if not supports.shape[1]:
+            return np.empty(supports.shape), {}
+        a = self.gram[reps[:, None, None], supports[:, :, None], supports[:, None, :]]
+        return spd_solve_stack(a, self.b[reps[:, None], supports])
 
-    def gradient(self, support: list[int], masses: np.ndarray) -> np.ndarray:
-        """Model gradient over the full grid at the embedded support solution."""
-        if len(support) == 0:
-            return -self.b.copy()
-        idx = np.asarray(support, dtype=int)
-        return self.gram[:, idx] @ masses - self.b
+    def gradient(self, reps: np.ndarray, supports: np.ndarray, masses: np.ndarray):
+        """Model gradients over the full grid at the embedded support solutions."""
+        if not supports.shape[1]:
+            return -self.b[reps]
+        at_support = self.gram[reps[:, None, None], self._columns, supports[:, None, :]]
+        return np.matmul(at_support, masses[:, :, None])[..., 0] - self.b[reps]
 
 
-def _solve_independent(model: _QuadraticModel, support: list[int]) -> np.ndarray:
+def _solve_independent(support: list[int]):
     """Model solve on the support, dropping dependent columns from it in place.
 
     A column the factorization finds dependent on the columns before it
@@ -183,13 +258,13 @@ def _solve_independent(model: _QuadraticModel, support: list[int]) -> np.ndarray
     """
     while True:
         try:
-            return model.solve(support)
+            return (yield support)
         except SingularMatrixError as exc:
             support.pop(exc.pivot)
 
 
 def _exchange_position(
-    model: _QuadraticModel, support: list[int], masses: np.ndarray, added: int
+    model: _QuadraticModel, r: int, support: list[int], masses: np.ndarray, added: int
 ) -> int:
     """Position of the support point that a dependent added point replaces.
 
@@ -201,7 +276,8 @@ def _exchange_position(
     squares in the degenerate case (Lawson & Hanson, 1974, ch. 23).
     """
     idx = np.asarray(support, dtype=int)
-    c = spd_solve(model.gram[np.ix_(idx, idx)], model.gram[idx, added])
+    gram = model.gram[r]
+    c = spd_solve(gram[np.ix_(idx, idx)], gram[idx, added])
     rising = np.flatnonzero(c > 0.0)
     if not rising.size:
         raise NonConvergenceError(
@@ -210,13 +286,10 @@ def _exchange_position(
     return int(rising[np.argmin(masses[rising] / c[rising])])
 
 
-def _inner_loop(
-    model: _QuadraticModel,
-    start_support: list[int],
-    m: int,
-    inner_tol: float,
-) -> tuple[np.ndarray, list[int]]:
-    """Minimize the quadratic model over the nonnegative cone.
+def _inner_pass(
+    model: _QuadraticModel, r: int, start_support: list[int], m: int, inner_tol: float
+):
+    """Replicate r's minimization of its quadratic model over the cone.
 
     Alternates between dropping the most negative mass point and adding the
     off-support point with the most negative model gradient, re-solving the
@@ -228,9 +301,15 @@ def _inner_loop(
     need: a column found dependent on the support leaves it, so the gradient
     test can bring it back later, and a dependent added point takes the
     place of the support point its exchange step picks.
+
+    A generator, so that ``_inner_loop`` can serve the passes of a batch
+    together: it yields each support it needs the model solved on, and is
+    sent the solution with the model gradient there.  A solve whose normal
+    matrix does not factor is thrown back as SingularMatrixError.  Returns
+    the target masses over the grid and the final support.
     """
     support = list(start_support)
-    masses = _solve_independent(model, support) if support else np.empty(0)
+    masses, grad = yield from _solve_independent(support)
     just_added: int | None = None
     for _ in range(10 * m + 100):
         while masses.size and masses.min() < 0.0:
@@ -243,86 +322,294 @@ def _inner_loop(
                     "inner loop attempted to remove the point it just added"
                 )
             support.pop(worst)
-            masses = _solve_independent(model, support) if support else np.empty(0)
-        grad = model.gradient(support, masses)
+            masses, grad = yield from _solve_independent(support)
         if support:
-            grad = grad.copy()
-            grad[np.asarray(support, dtype=int)] = np.inf
+            grad[support] = np.inf
         candidate = int(np.argmin(grad))
         if grad[candidate] >= -inner_tol:
             break
         grown = list(support)
         grown.insert(int(np.searchsorted(grown, candidate)), candidate)
         try:
-            masses = model.solve(grown)
+            masses, grad = yield grown
         except SingularMatrixError:
-            grown.remove(support[_exchange_position(model, support, masses, candidate)])
-            masses = _solve_independent(model, grown)
+            out = _exchange_position(model, r, support, masses, candidate)
+            grown.remove(support[out])
+            masses, grad = yield from _solve_independent(grown)
         support = grown
         just_added = candidate
     else:
         raise NonConvergenceError("quadratic subproblem did not settle on a support")
     full = np.zeros(m)
-    if support:
-        full[np.asarray(support, dtype=int)] = masses
+    full[support] = masses
     return full, support
 
 
-def _trial(p: np.ndarray, weights: WeightMatrix) -> tuple[np.ndarray, float]:
-    """A line search trial's likelihood terms and criterion value.
+def _serve(model: _QuadraticModel, requests: dict) -> dict:
+    """Results of one round of inner-pass requests, keyed by replicate.
 
-    The value is infinite when a term vanishes; unlike ``_positive_terms``
-    this builds no error, so a rejected trial costs no scan of the records.
+    The solves on supports of one size share one stacked solve, and the
+    model gradients at their solutions one stacked product.  Grouping by
+    size rather than padding the supports to one order keeps each
+    replicate's arithmetic that of a batch of one: LAPACK blocks a padded
+    matrix differently, which moves the last bits.
     """
-    terms = weights.dense @ p
-    if (terms <= 0.0).any():
-        return terms, np.inf
-    return terms, phi(p, weights, terms)
+    groups: dict = {}
+    for r, support in requests.items():
+        groups.setdefault(len(support), []).append(r)
+    out = {}
+    for k, reps in groups.items():
+        rows = np.array(reps)
+        supports = np.array([requests[r] for r in reps], dtype=np.intp)
+        supports = supports.reshape(len(reps), k)
+        solutions, failed = model.solve(rows, supports)
+        grads = model.gradient(rows, supports, solutions)
+        out.update(zip(reps, zip(solutions, grads)))
+        for i, pivot in failed.items():
+            out[reps[i]] = SingularMatrixError(pivot=pivot)
+    return out
 
 
-def armijo_search(
-    p0: np.ndarray,
-    p_target: np.ndarray,
-    weights: WeightMatrix,
-    terms=None,
-    grad=None,
-    base=None,
-) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """Backtrack along the segment from p0 to p_target until phi decreases enough.
+def _inner_loop(model: _QuadraticModel, start_supports: list, m: int, inner_tol: float):
+    """Every replicate's inner pass, advanced in lockstep.
 
-    ``terms`` are p0's likelihood terms, ``grad`` its gradient and ``base``
-    its criterion value.  Returns ``(p, alpha, terms, value)``: the accepted
-    iterate, the step length, and the iterate's likelihood terms and
-    criterion value, which the caller reuses instead of evaluating them
-    again.  Infeasible trial points count as infinite criterion values.
-    Gives up below alpha = 1e-15.
+    Returns ``(targets, supports, errors)``: the target masses (B, m), the
+    final supports, and for each replicate the IncutimeError that ended its
+    pass, or None.  A failed pass leaves the other replicates' passes alone.
     """
-    if terms is None:
-        terms = _positive_terms(p0, weights)
-    if base is None:
-        base = phi(p0, weights, terms)
+    count = len(start_supports)
+    targets = np.zeros((count, m))
+    supports: list = [None] * count
+    errors: list = [None] * count
+    passes = {
+        r: _inner_pass(model, r, start, m, inner_tol)
+        for r, start in enumerate(start_supports)
+    }
+    results: dict = dict.fromkeys(passes)
+    while results:
+        requests = {}
+        for r, result in results.items():
+            try:
+                if isinstance(result, SingularMatrixError):
+                    requests[r] = passes[r].throw(result)
+                else:
+                    requests[r] = passes[r].send(result)
+            except StopIteration as done:
+                targets[r], supports[r] = done.value
+            except IncutimeError as exc:
+                errors[r] = exc
+        results = _serve(model, requests) if requests else {}
+    return targets, supports, errors
+
+
+def _trial(p: np.ndarray, weights: WeightMatrix, counts, n):
+    """Line search trials' likelihood terms and criterion values.
+
+    A value is infinite when a term of a drawn row vanishes; unlike
+    ``_positive_terms`` this builds no error, so a rejected trial costs no
+    scan of the records.
+    """
+    terms = _terms(p, weights.dense)
+    values = _criteria(p, terms, counts, n)
+    vanished = terms <= 0.0
+    if np.count_nonzero(vanished):
+        values[(vanished & (counts > 0.0)).any(axis=1)] = np.inf
+    return terms, values
+
+
+def armijo_search(p0, p_target, weights: WeightMatrix, counts, n, terms, grad, base):
+    """Backtrack along each segment from p0 to p_target until phi decreases enough.
+
+    Every argument but ``weights`` holds one row per replicate: ``terms``
+    are p0's likelihood terms, ``grad`` its gradient and ``base`` its
+    criterion value.  Returns ``(p, alpha, terms, values, stalled)``: the
+    accepted iterates, the step lengths, and the iterates' likelihood terms
+    and criterion values, which the caller reuses instead of evaluating
+    them again.  Infeasible trial points count as infinite criterion
+    values.  A replicate gives up below alpha = 1e-15: it is ``stalled``
+    and keeps p0.  The trials of all replicates still searching run
+    together.
+    """
     delta = p_target - p0
-    if not np.any(delta):
-        return p0.copy(), 1.0, terms, base
-    if grad is None:
-        grad = phi_gradient(p0, weights, terms)
-    slope = float(grad @ delta)
-    resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(base))
-    if ARMIJO_C * abs(slope) <= resolution:
-        # the predicted decrease is below the floating point resolution of
-        # the criterion, so no backtracking test can verify it; take the
-        # full step unless it visibly increases the criterion
-        target_terms, value = _trial(p_target, weights)
-        if value <= base + resolution:
-            return p_target.copy(), 1.0, target_terms, value
-    alpha = 1.0
-    while alpha >= 1e-15:
-        trial = p0 + alpha * delta
-        trial_terms, value = _trial(trial, weights)
-        if value <= base + ARMIJO_C * alpha * slope:
-            return trial, alpha, trial_terms, value
-        alpha *= ARMIJO_SHRINK
-    raise LineSearchError("no acceptable step length above 1e-15")
+    slope = _dots(grad, delta)
+    resolution = _RESOLUTION * np.maximum(1.0, np.abs(base))
+    alpha = np.ones(len(p0))
+    stalled = np.zeros(len(p0), dtype=bool)
+    trial = p0 + delta
+    bound = base + ARMIJO_C * slope
+    # where the predicted decrease is below the floating point resolution of
+    # the criterion, no backtracking test can verify it; the full step is
+    # tried first and taken unless it visibly increases the criterion, and
+    # tried again as an ordinary trial if it does
+    unverifiable = ARMIJO_C * np.abs(slope) <= resolution
+    if np.count_nonzero(unverifiable):
+        trial[unverifiable] = p_target[unverifiable]
+        bound[unverifiable] = base[unverifiable] + resolution[unverifiable]
+    trial_terms, trial_values = _trial(trial, weights, counts, n)
+    accepted = trial_values <= bound
+    # the rejected rows backtrack from p0, a rejected unverifiable step
+    # first as an ordinary trial of length 1; the accepted iterates are
+    # gathered into p only once some but not all rows have one
+    step = alpha
+    rows = np.arange(len(p0))
+    searching = [p0, delta, base, slope, counts, n]
+    p = None
+    while True:
+        done = np.count_nonzero(accepted)
+        if done == rows.size and p is None:
+            return trial, step, trial_terms, trial_values, stalled
+        if done:
+            if p is None:
+                p, terms, values = p0.copy(), terms.copy(), base.copy()
+            p[rows[accepted]] = trial[accepted]
+            terms[rows[accepted]] = trial_terms[accepted]
+            values[rows[accepted]] = trial_values[accepted]
+            alpha[rows[accepted]] = step[accepted]
+            if done == rows.size:
+                return p, alpha, terms, values, stalled
+            kept = ~accepted
+            rows, step, unverifiable, *searching = (
+                a[kept] for a in (rows, step, unverifiable, *searching)
+            )
+        step = np.where(unverifiable, 1.0, step * ARMIJO_SHRINK)
+        unverifiable = np.zeros(rows.size, dtype=bool)
+        gave_up = step < 1e-15
+        if np.count_nonzero(gave_up):
+            if p is None:
+                p, terms, values = p0.copy(), terms.copy(), base.copy()
+            stalled[rows[gave_up]] = True
+            if np.count_nonzero(gave_up) == rows.size:
+                return p, alpha, terms, values, stalled
+            kept = ~gave_up
+            rows, step, unverifiable, *searching = (
+                a[kept] for a in (rows, step, unverifiable, *searching)
+            )
+        start, direction, level, rate, drawn, total = searching
+        trial = start + step[:, None] * direction
+        trial_terms, trial_values = _trial(trial, weights, drawn, total)
+        accepted = trial_values <= level + ARMIJO_C * step * rate
+
+
+def _trace(history: list, r: int, final_masses: np.ndarray, converged=False):
+    """Replicate r's outer iteration trace from the batch's history."""
+    trace = IterationTrace(converged=converged, final_masses=final_masses)
+    for iteration, (ids, values, min_grads, comps, sizes) in enumerate(history, 1):
+        i = int(np.searchsorted(ids, r))
+        if i < ids.size and ids[i] == r:
+            trace.rows.append(
+                TraceRow(
+                    iteration=iteration,
+                    criterion=float(values[i]),
+                    min_gradient=float(min_grads[i]),
+                    complementarity=float(comps[i]),
+                    support_size=int(sizes[i]),
+                )
+            )
+    return trace
+
+
+def _minimize_batch(
+    weights: WeightMatrix,
+    counts: np.ndarray,
+    config: SolverConfig,
+    start: np.ndarray | None = None,
+) -> tuple[np.ndarray, list, list]:
+    """Certified minimizers of phi for a batch of replicates, in lockstep.
+
+    Replicate r reweights the rows of ``weights`` by ``counts[r]``, its
+    count of records per row; a row it did not draw (count 0) drops out of
+    every sum.  Every replicate starts at ``start``, the uniform vector
+    when omitted, and its drawn rows' likelihood terms must be positive
+    there.  The first inner pass starts from the support of ``start`` when
+    given, and from an empty support otherwise.  Each outer iteration
+    builds the quadratic models, runs the inner passes and line searches
+    of every uncertified replicate together.
+
+    Returns ``(masses, errors, history)``: the certified masses (B, m);
+    for each replicate the IncutimeError that ended its fit (its row of
+    masses is then meaningless), or None; and the per-iteration record
+    that ``_trace`` turns into a replicate's trace.  A failed replicate
+    leaves the others' arithmetic bit for bit unchanged.
+    """
+    counts = np.asarray(counts, dtype=float)
+    dense = weights.dense
+    m = weights.m
+    if start is None:
+        first = np.full(m, 1.0 / m)
+        start_support: list[int] = []
+    else:
+        first = np.asarray(start, dtype=float)
+        start_support = np.flatnonzero(first > 0.0).tolist()
+    masses = np.tile(first, (len(counts), 1))
+    errors: list = [None] * len(counts)
+    history: list = []
+
+    p = masses.copy()
+    terms = _terms(p, dense)
+    for r in np.flatnonzero(((terms <= 0.0) & (counts > 0.0)).any(axis=1)):
+        row = np.flatnonzero((terms[r] <= 0.0) & (counts[r] > 0.0))[0]
+        errors[r] = InfeasiblePointError(weights.record_of(int(row)))
+    ids = np.array([r for r, error in enumerate(errors) if error is None], np.intp)
+    if ids.size < len(counts):
+        p, terms, counts = p[ids], terms[ids], counts[ids]
+    n = counts.sum(axis=1)
+    grad = _gradients(terms, counts, n, dense)
+    min_grad, comp = _residuals(p, grad)
+    value = _criteria(p, terms, counts, n)
+    supports = [start_support] * ids.size
+    iteration = 0
+    while True:
+        keep = np.flatnonzero((min_grad < -config.tol) | (comp > config.tol))
+        if keep.size < ids.size:
+            certified = np.ones(ids.size, dtype=bool)
+            certified[keep] = False
+            masses[ids[certified]] = p[certified]
+            if not keep.size:
+                break
+            ids, p, terms, counts, n, grad, value = (
+                a[keep] for a in (ids, p, terms, counts, n, grad, value)
+            )
+            supports = [supports[i] for i in keep]
+        iteration += 1
+        if iteration > config.max_outer:
+            for i, r in enumerate(ids):
+                errors[r] = NonConvergenceError(
+                    f"no optimality certificate after {config.max_outer} outer iterations",
+                    trace=_trace(history, r, p[i]),
+                )
+            break
+        model = _QuadraticModel(weights, terms, counts, n)
+        targets, supports, inner_errors = _inner_loop(model, supports, m, INNER_TOL)
+        del model  # a (B, m, m) stack; the next one is built without it
+        if any(inner_errors):
+            for r, error in zip(ids, inner_errors):
+                errors[r] = error
+            keep = np.flatnonzero([error is None for error in inner_errors])
+            ids, p, terms, counts, n, grad, value, targets = (
+                a[keep] for a in (ids, p, terms, counts, n, grad, value, targets)
+            )
+            supports = [supports[i] for i in keep]
+            if not ids.size:
+                break
+        start_p = p
+        p, _, terms, value, stalled = armijo_search(
+            p, targets, weights, counts, n, terms, grad, value
+        )
+        if np.count_nonzero(stalled):
+            for i in np.flatnonzero(stalled):
+                errors[ids[i]] = NonConvergenceError(
+                    "line search stalled before reaching the certificate tolerance",
+                    trace=_trace(history, ids[i], start_p[i]),
+                )
+            keep = np.flatnonzero(~stalled)
+            ids, p, terms, counts, n, value = (
+                a[keep] for a in (ids, p, terms, counts, n, value)
+            )
+            supports = [supports[i] for i in keep]
+        grad = _gradients(terms, counts, n, dense)
+        min_grad, comp = _residuals(p, grad)
+        history.append((ids, value, min_grad, comp, np.count_nonzero(p > 0.0, axis=1)))
+    return masses, errors, history
 
 
 def _minimize(
@@ -330,58 +617,15 @@ def _minimize(
 ) -> tuple[np.ndarray, IterationTrace]:
     """Certified minimizer of phi over the cone and the outer iteration trace.
 
-    ``start`` is the first iterate, the uniform vector when omitted; every
-    likelihood term must be positive there.  The first inner pass starts
-    from the support of ``start`` when given, and from an empty support
-    otherwise.
+    The batch of one with the matrix's own counts; raises what ends its
+    fit.  ``start`` is as for ``_minimize_batch``.
     """
-    m = weights.m
-    if start is None:
-        current = np.full(m, 1.0 / m)
-        support: list[int] = []
-    else:
-        current = np.array(start, dtype=float)
-        support = np.flatnonzero(current > 0.0).tolist()
-    terms = _positive_terms(current, weights)
-    trace = IterationTrace()
-    grad = phi_gradient(current, weights, terms)
-    min_grad, comp = fenchel_residuals(current, weights, grad=grad)
-    value = None  # phi at current; the first line search evaluates it
-    iteration = 0
-    while min_grad < -config.tol or comp > config.tol:
-        iteration += 1
-        if iteration > config.max_outer:
-            trace.final_masses = current
-            raise NonConvergenceError(
-                f"no optimality certificate after {config.max_outer} outer iterations",
-                trace=trace,
-            )
-        model = _QuadraticModel(weights, current, terms)
-        target, support = _inner_loop(model, support, m, INNER_TOL)
-        try:
-            current, _, terms, value = armijo_search(
-                current, target, weights, terms, grad, value
-            )
-        except LineSearchError:
-            trace.final_masses = current
-            raise NonConvergenceError(
-                "line search stalled before reaching the certificate tolerance",
-                trace=trace,
-            ) from None
-        grad = phi_gradient(current, weights, terms)
-        min_grad, comp = fenchel_residuals(current, weights, grad=grad)
-        trace.rows.append(
-            TraceRow(
-                iteration=iteration,
-                criterion=value,
-                min_gradient=min_grad,
-                complementarity=comp,
-                support_size=int(np.count_nonzero(current > 0.0)),
-            )
-        )
-    trace.converged = True
-    trace.final_masses = current.copy()
-    return current, trace
+    masses, errors, history = _minimize_batch(
+        weights, weights.counts[None], config, start
+    )
+    if errors[0] is not None:
+        raise errors[0]
+    return masses[0], _trace(history, 0, masses[0].copy(), converged=True)
 
 
 def fit_weights(

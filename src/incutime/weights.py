@@ -14,7 +14,9 @@ the record columns.  Each integer column whose span is below 2**16 is sorted
 as an offset from its minimum in an 8- or 16-bit unsigned copy, where
 numpy's stable sort is a radix sort; the day columns of the simulated and
 benchmark datasets span a few dozen values.  A wider column is sorted as
-int64, at the cost of the comparison sort.
+int64, at the cost of the comparison sort.  Distinct records whose weight
+rows are equal then share one row, so a row is a distinct weight row and
+its count the number of records with that row.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ def window_weight(e, s_l, s_r, t):
 class WeightMatrix:
     """Per-pattern weights over the grid, with pattern counts.
 
-    ``dense`` has one row per distinct record (pattern) and one column per
-    grid point; ``counts`` says how many records share each row, and
+    ``dense`` has one row per distinct weight row (pattern) and one column
+    per grid point; ``counts`` says how many records share each row, and
     ``record_rows`` maps every record to its row.  A matrix built by hand
     from per-record rows needs neither: counts default to ones and the
     record map lists the records row by row.
@@ -110,33 +112,9 @@ class WeightMatrix:
     def m(self) -> int:
         return int(self.dense.shape[1])
 
-    @property
-    def root_counts(self) -> np.ndarray:
-        """sqrt(counts): rows scaled by it turn count-weighted sums of
-        products into plain matrix products."""
-        return np.sqrt(self.counts)
-
     def record_of(self, row: int) -> int:
         """The first record whose pattern is the given row."""
         return int(np.flatnonzero(self.record_rows == row)[0])
-
-    def take(self, indices) -> "WeightMatrix":
-        """The weight matrix of the records ``data.take(indices)``.
-
-        The records' counts over the patterns keep the rows that occur, in
-        the same order, so the result equals ``build_weight_matrix`` of the
-        subset bit for bit without evaluating a single weight.
-        """
-        drawn = self.record_rows[np.asarray(indices)]
-        counts = np.bincount(drawn, minlength=self.dense.shape[0])
-        keep = counts > 0
-        new_row = np.cumsum(keep) - 1
-        return WeightMatrix(
-            dense=self.dense[keep],
-            grid=self.grid,
-            counts=counts[keep],
-            record_rows=new_row[drawn],
-        )
 
 
 def _compact(col: np.ndarray) -> np.ndarray:
@@ -197,4 +175,40 @@ def build_weight_matrix(data: Dataset, grid: Grid) -> WeightMatrix:
     infeasible = ~(dense > 0.0).any(axis=1)
     if infeasible.any():
         raise InfeasibleRecordError(int(first[infeasible].min()))
+    kept, merged = _merge_equal_rows(dense)
+    if kept.size < dense.shape[0]:
+        dense = dense[kept]
+        counts = np.bincount(merged, weights=counts)
+        record_rows = merged[record_rows]
     return WeightMatrix(dense=dense, grid=grid, counts=counts, record_rows=record_rows)
+
+
+def _merge_equal_rows(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of dense that first show each distinct row, in order, and the
+    map from every row to its distinct row.
+
+    Distinct records can share one weight row, as double-mode windows whose
+    kernels agree on the grid do.  Merging them leaves every likelihood sum
+    the same but shorter.  The rows are sorted on a projection onto the
+    weights 1 / (j + pi), which no two distinct rows of small integers share,
+    and a row merges into the row before it in that order when their keys
+    and all their entries are equal; so unequal rows never merge.  Each key
+    is summed row by row, the same way for every row, so that equal rows
+    get equal keys and end up next to each other.
+    """
+    rows = dense.shape[0]
+    keys = (dense / (np.arange(dense.shape[1]) + np.pi)).sum(axis=1)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = np.flatnonzero(ranked[1:] == ranked[:-1])
+    if not tied.size:
+        return np.arange(rows), np.arange(rows)
+    new = np.ones(rows, dtype=bool)
+    new[tied + 1] = (dense[order[tied + 1]] != dense[order[tied]]).any(axis=1)
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    merged = np.empty(rows, dtype=np.intp)
+    merged[order] = np.cumsum(new) - 1
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    return first[by_first], rank[merged]

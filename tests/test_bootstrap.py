@@ -13,9 +13,20 @@ from incutime import (
     fit_npmle,
     validate_dataset,
 )
-from incutime.bootstrap import _replicate_indices, refit_replicates, resample
+from incutime.bootstrap import (
+    BATCH_CAP,
+    _replicate_counts,
+    refit_replicates,
+    resample,
+)
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
-from incutime.solver import SolverConfig, _minimize, fenchel_residuals, fit_weights
+from incutime.solver import (
+    SolverConfig,
+    _minimize,
+    _minimize_batch,
+    fenchel_residuals,
+    fit_weights,
+)
 
 TRUNCEXP = TruthSpec(family="truncexp", a=6.0, m1=15)
 
@@ -90,17 +101,23 @@ def test_bootstrap_internal_fit_matches_supplied_mass():
     assert bootstrap_ci(weights, config) == bootstrap_ci(weights, config, mass=mass)
 
 
+def stall(model, r, *args):
+    """An inner pass that fails its replicate on its first step."""
+    raise NonConvergenceError("forced failure")
+    yield
+
+
 def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
-    import incutime.bootstrap as bootstrap_module
+    import incutime.solver as solver_module
 
-    def always_stalls(W, idx, config, start):
-        raise NonConvergenceError("forced failure")
-
-    monkeypatch.setattr(bootstrap_module, "_refit_rows", always_stalls)
     data = draw_singly(100, TRUNCEXP, ExposureSpec(m2=15), seed=85)
     grid = candidate_grid(data, m1=15)
+    mass, _ = fit_npmle(data, grid)
+    monkeypatch.setattr(solver_module, "_inner_pass", stall)
     with pytest.raises(BootstrapFailureError) as err:
-        bootstrap_ci(build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0))
+        bootstrap_ci(
+            build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0), mass=mass
+        )
     assert err.value.failed == 20
 
 
@@ -131,25 +148,91 @@ def test_bootstrap_rejects_points_outside_horizon():
 
 @pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
 def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
-    # a replicate refit is _minimize on the drawn rows started at the point
-    # fit's masses; it meets the certificate on its own matrix and agrees
-    # with a cold fit of the same rows up to the certificate's slack
+    # a replicate refit in the batch is the batch of one on its count vector,
+    # started at the point fit's masses; it meets the certificate on the
+    # drawn records and agrees with a cold fit of them up to the
+    # certificate's slack
     data = draw(300, TRUNCEXP, ExposureSpec(m2=15), seed=88)
-    W = build_weight_matrix(data, candidate_grid(data, m1=15))
+    grid = candidate_grid(data, m1=15)
+    W = build_weight_matrix(data, grid)
     config = SolverConfig()
     _, point_trace = fit_weights(W, config)
     p_hat = point_trace.final_masses
     replicates = refit_replicates(W, 3, 4, config, p_hat)
-    for k, (sub, masses) in enumerate(replicates):
-        drawn = W.take(_replicate_indices(3, k, W.n))
-        warm, _ = _minimize(drawn, config, start=p_hat)
-        assert np.array_equal(masses, warm)
-        min_grad, comp = fenchel_residuals(masses, sub)
+    for k, (counts, masses) in enumerate(replicates):
+        assert np.array_equal(counts, _replicate_counts(W, 3, k))
+        alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
+        assert errors == [None]
+        assert np.array_equal(masses, alone[0])
+        drawn = build_weight_matrix(resample(data, 3, k), grid)
+        min_grad, comp = fenchel_residuals(masses, drawn)
         assert min_grad >= -1e-10 and comp <= 1e-10
         _, cold = fit_weights(drawn, config)
         np.testing.assert_allclose(
-            sub.dense @ masses, sub.dense @ cold.final_masses, rtol=0, atol=1e-8
+            drawn.dense @ masses, drawn.dense @ cold.final_masses, rtol=0, atol=1e-8
         )
+
+
+@pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
+def test_batched_replicates_across_the_batch_cap_are_fits_of_their_resamples(draw):
+    # two batches run; every replicate meets the certificate on its drawn
+    # records, gives them the probabilities of the refit of a matrix rebuilt
+    # from the resample, started at the same masses, and those of a cold fit
+    # of it up to the certificate's slack (two certified fits of one double
+    # mode resample can differ by a few 1e-10)
+    data = draw(120, TRUNCEXP, ExposureSpec(m2=15), seed=89)
+    grid = candidate_grid(data, m1=15)
+    W = build_weight_matrix(data, grid)
+    config = SolverConfig()
+    _, point_trace = fit_weights(W, config)
+    p_hat = point_trace.final_masses
+    b = BATCH_CAP + 44
+    replicates = list(refit_replicates(W, 5, b, config, p_hat))
+    assert len(replicates) == b
+    for k, (_, masses) in enumerate(replicates):
+        drawn = build_weight_matrix(resample(data, 5, k), grid)
+        min_grad, comp = fenchel_residuals(masses, drawn)
+        assert min_grad >= -1e-10 and comp <= 1e-10
+        warm, _ = _minimize(drawn, config, start=p_hat)
+        np.testing.assert_allclose(
+            drawn.dense @ masses, drawn.dense @ warm, rtol=0, atol=1e-10
+        )
+        _, cold = fit_weights(drawn, config)
+        np.testing.assert_allclose(
+            drawn.dense @ masses, drawn.dense @ cold.final_masses, rtol=0, atol=1e-8
+        )
+
+
+def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
+    # replicate 3 fails on the batch's second outer iteration; the others'
+    # masses are those of the run in which it does not
+    import incutime.solver as solver_module
+
+    data = draw_doubly(300, TRUNCEXP, ExposureSpec(m2=15), seed=90)
+    W = build_weight_matrix(data, candidate_grid(data, m1=15))
+    config = SolverConfig()
+    mass, _ = fit_weights(W, config)
+    start = mass.as_vector(W.grid)
+    unforced = list(refit_replicates(W, 7, 12, config, start))
+    inner_pass = solver_module._inner_pass
+    models = []
+
+    def second_pass_of_replicate_3_stalls(model, r, *args):
+        if model not in models:
+            models.append(model)
+        if len(models) == 2 and r == 3:
+            # every replicate is still fitting, so model row r is replicate r
+            assert len(model.b) == 12
+            raise NonConvergenceError("forced failure")
+        return (yield from inner_pass(model, r, *args))
+
+    monkeypatch.setattr(solver_module, "_inner_pass", second_pass_of_replicate_3_stalls)
+    forced = list(refit_replicates(W, 7, 12, config, start))
+    assert len(models) > 2
+    assert forced[3] is None and unforced[3] is not None
+    for k in range(12):
+        if k != 3:
+            assert np.array_equal(forced[k][1], unforced[k][1])
 
 
 def test_replicate_start_without_positive_terms_is_rejected_before_any_draw(

@@ -563,27 +563,30 @@ def test_coverage_smoke(tmp_path):
 
 
 def test_exit_code_fisher_averaging_failures(tmp_path, monkeypatch):
-    import incutime.bootstrap as bootstrap_module
+    import incutime.solver as solver_module
 
-    refit_rows = bootstrap_module._refit_rows
-    calls = []
+    inner_pass = solver_module._inner_pass
+    attempted = set()
 
-    def first_three_stall(W, idx, config, start):
-        # 3 of 20 is above the 10 percent the bootstrap also tolerates
-        calls.append(idx)
-        if len(calls) <= 3:
-            raise NonConvergenceError("forced failure")
-        return refit_rows(W, idx, config, start)
+    def first_three_stall(model, r, *args):
+        # the batch of 20 replicates, not the point fit's batch of one; its
+        # first model has a row per replicate, in replicate order
+        if len(model.b) == 20:
+            attempted.add(r)
+            if r < 3:
+                # 3 of 20 is above the 10 percent the bootstrap also tolerates
+                raise NonConvergenceError("forced failure")
+        return (yield from inner_pass(model, r, *args))
 
     data_path = str(tmp_path / "d.csv")
     main(["simulate", "--mode", "double", "--n", "200", "--seed", "5",
           "--out", data_path])
-    monkeypatch.setattr(bootstrap_module, "_refit_rows", first_three_stall)
+    monkeypatch.setattr(solver_module, "_inner_pass", first_three_stall)
     code = main(["ci", "--mode", "double", "--data", data_path, "--method",
                  "wald", "--fisher-averaged", "--b", "20", "--m1", "15",
                  "--out", str(tmp_path / "ci.csv")])
     assert code == 4
-    assert len(calls) == 20
+    assert attempted == set(range(20))
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from incutime import SingularMatrixError
-from incutime.linalg import check_symmetric, cholesky_factor, spd_invert, spd_solve
+from incutime.linalg import (
+    check_symmetric,
+    cholesky_factor,
+    cholesky_pivots,
+    spd_invert,
+    spd_solve,
+    spd_solve_stack,
+)
 
 
 def test_spd_solve_identity():
@@ -77,3 +84,32 @@ def test_singular_matrix_with_a_rounding_sized_pivot_is_reported(entry_point):
     with pytest.raises(SingularMatrixError) as err:
         entry_point(a)
     assert err.value.pivot == 2
+
+
+def _spd(seed, order):
+    b = np.random.default_rng(seed).normal(size=(order + 2, order))
+    return b.T @ b
+
+
+@pytest.mark.parametrize(
+    "singular",
+    [
+        # indefinite: numpy's stacked factorization raises for the stack
+        np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+        # exactly singular with a rounding-sized last pivot: it factors and
+        # fails the pivot floor
+        np.array([[10 / 3, 0.0, 0.0], [0.0, 2 / 3, 2 / 3], [0.0, 2 / 3, 2 / 3]]),
+    ],
+    ids=["raises", "pivot-floor"],
+)
+def test_stacked_cholesky_names_only_the_failing_matrix(singular):
+    stack = np.array([_spd(1, 3), _spd(2, 3), singular, _spd(3, 3)])
+    rhs = np.random.default_rng(4).normal(size=(4, 3))
+    with pytest.raises(SingularMatrixError) as err:
+        cholesky_factor(singular)
+    assert cholesky_pivots(stack) == {2: err.value.pivot}
+    x, failed = spd_solve_stack(stack, rhs)
+    assert failed == {2: err.value.pivot}
+    assert not x[2].any()
+    for i in (0, 1, 3):
+        assert np.array_equal(x[i], spd_solve(stack[i], rhs[i]))

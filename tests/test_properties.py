@@ -1,8 +1,9 @@
 """Property tests over small random datasets in both observation modes.
 
 The pattern-compressed likelihood must agree with the per-record sums it
-replaces, resampling by counts must reproduce the weights of the resampled
-records exactly, and the fit must not depend on the order of the records.
+replaces, a resample's count vector over the rows must reproduce the
+weights of the resampled records exactly, and the fit must not depend on
+the order of the records.
 """
 
 import numpy as np
@@ -27,9 +28,14 @@ from incutime import (  # noqa: E402
     validate_dataset,
 )
 from incutime.linalg import spd_invert, spd_solve  # noqa: E402
-from incutime.bootstrap import _replicate_indices  # noqa: E402
+from incutime.bootstrap import _replicate_counts, _replicate_indices  # noqa: E402
 from incutime.em import fit_em  # noqa: E402
-from incutime.solver import SolverConfig, _minimize, _QuadraticModel  # noqa: E402
+from incutime.solver import (  # noqa: E402
+    SolverConfig,
+    _minimize,
+    _minimize_batch,
+    _QuadraticModel,
+)
 from incutime.weights import window_weight  # noqa: E402
 
 SETTINGS = settings(
@@ -81,9 +87,9 @@ def test_count_weighted_sums_equal_per_record_sums(data, seed):
     assert W.n == data.n
     assert phi(p, W) == pytest.approx(value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(phi_gradient(p, W), grad, rtol=1e-12, atol=1e-12)
-    model = _QuadraticModel(W, p)
-    np.testing.assert_allclose(model.gram, hessian, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(model.b, 1.0 - 2.0 * grad, rtol=1e-12, atol=1e-12)
+    model = _QuadraticModel(W, (W.dense @ p)[None], W.counts[None], np.array([W.n]))
+    np.testing.assert_allclose(model.gram[0], hessian, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(model.b[0], 1.0 - 2.0 * grad, rtol=1e-12, atol=1e-12)
 
 
 @SETTINGS
@@ -93,23 +99,39 @@ def test_resampled_weights_equal_reweighted_rows_bit_for_bit(data, draws):
     W = weights_or_skip(data, grid)
     idx = np.array(draws) % data.n
     rebuilt = build_weight_matrix(data.take(idx), grid)
-    taken = W.take(idx)
-    assert np.array_equal(taken.dense, rebuilt.dense)
-    assert np.array_equal(taken.counts, rebuilt.counts)
-    assert np.array_equal(taken.record_rows, rebuilt.record_rows)
+    counts = np.bincount(W.record_rows[idx], minlength=W.dense.shape[0])
+    # every drawn record's row, and every row with its count, in either order
+    drawn_rows = W.dense[W.record_rows[idx]]
+    assert np.array_equal(drawn_rows, rebuilt.dense[rebuilt.record_rows])
+    drawn = np.flatnonzero(counts)
+    rows, weights = W.dense[drawn], counts[drawn]
+    order = np.lexsort(rows.T[::-1])
+    rebuilt_order = np.lexsort(rebuilt.dense.T[::-1])
+    assert np.array_equal(rows[order], rebuilt.dense[rebuilt_order])
+    assert np.array_equal(weights[order], rebuilt.counts[rebuilt_order])
 
 
 @SETTINGS
 @given(data=datasets())
 def test_patterns_follow_sorted_unique_order(data):
+    # the distinct records in sorted order, each record whose weight row
+    # equals an earlier one's merged into that one's row
     W = weights_or_skip(data, candidate_grid(data))
     columns = (data.e, data.s) if data.mode == "single" else (data.e, data.s_l, data.s_r)
     keys = np.column_stack(columns)
-    unique, inverse, counts = np.unique(
-        keys, axis=0, return_inverse=True, return_counts=True
+    unique, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
     )
-    assert np.array_equal(W.counts, counts)
-    assert np.array_equal(W.record_rows, inverse.reshape(-1))
+    distinct, row_of_pattern = [], []
+    for row in per_record_rows(data.take(first), W.grid):
+        same = [j for j, seen in enumerate(distinct) if np.array_equal(seen, row)]
+        if not same:
+            distinct.append(row)
+        row_of_pattern.append(same[0] if same else len(distinct) - 1)
+    record_rows = np.array(row_of_pattern)[inverse.reshape(-1)]
+    assert np.array_equal(W.dense, np.array(distinct))
+    assert np.array_equal(W.record_rows, record_rows)
+    assert np.array_equal(W.counts, np.bincount(record_rows))
     for i in range(data.n):
         assert np.array_equal(W.dense[W.record_rows[i]], per_record_rows(data.take([i]), W.grid)[0])
 
@@ -185,16 +207,18 @@ def test_refit_started_at_the_fit_certifies_whenever_a_cold_refit_does(data, see
     # the replicate makes dependent or zero
     grid = candidate_grid(data)
     W = weights_or_skip(data, grid)
-    sub = W.take(_replicate_indices(seed, 0, W.n))
+    counts = _replicate_counts(W, seed, 0)[None]
     config = SolverConfig()
     try:
         p_hat, _ = _minimize(W, config)
-        _minimize(sub, config)
     except NonConvergenceError:
         assume(False)
-    warm, trace = _minimize(sub, config, start=p_hat)
-    min_grad, comp = fenchel_residuals(warm, sub)
-    assert trace.converged
+    _, cold_errors, _ = _minimize_batch(W, counts, config)
+    assume(cold_errors == [None])
+    warm, errors, _ = _minimize_batch(W, counts, config, start=p_hat)
+    assert errors == [None]
+    sub = build_weight_matrix(data.take(_replicate_indices(seed, 0, W.n)), grid)
+    min_grad, comp = fenchel_residuals(warm[0], sub)
     assert min_grad >= -1e-10 and comp <= 1e-10
 
 

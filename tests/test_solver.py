@@ -47,6 +47,41 @@ def two_block_weights():
     return WeightMatrix(dense=dense, grid=Grid(points=[1, 2]))
 
 
+def point_model(W, p, model=_QuadraticModel):
+    """The quadratic model of W's own fit at p, a batch of one."""
+    return model(W, (W.dense @ p)[None], W.counts[None], np.array([float(W.n)]))
+
+
+def model_solve(model, support):
+    solutions, failed = model.solve(np.array([0]), np.array([support]).reshape(1, -1))
+    assert not failed
+    return solutions[0]
+
+
+def inner_loop(model, start_support, m, inner_tol):
+    """The batch-of-one inner loop: raises what ends its pass."""
+    targets, supports, errors = _inner_loop(model, [start_support], m, inner_tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return targets[0], supports[0]
+
+
+def line_search(p0, p_target, W):
+    """The batch-of-one line search from p0 on W's own fit."""
+    p, alpha, terms, values, stalled = armijo_search(
+        p0[None],
+        p_target[None],
+        W,
+        W.counts[None],
+        np.array([float(W.n)]),
+        (W.dense @ p0)[None],
+        phi_gradient(p0, W)[None],
+        np.array([phi(p0, W)]),
+    )
+    assert not stalled[0]
+    return p[0], alpha[0], terms[0], values[0]
+
+
 def test_phi_at_point_mass():
     assert phi(np.array([1.0]), one_record_weights()) == pytest.approx(0.0, abs=1e-15)
 
@@ -82,7 +117,7 @@ def test_fenchel_residuals_at_optimum():
 
 def test_quadratic_subproblem_unit_denominators():
     W = one_record_weights()
-    sol = _QuadraticModel(W, np.array([1.0])).solve([0])
+    sol = model_solve(point_model(W, np.array([1.0])), [0])
     assert sol == pytest.approx([1.0], abs=1e-12)
 
 
@@ -90,7 +125,7 @@ def test_quadratic_subproblem_constant_denominators():
     # with every denominator equal to c the normal equations give 2c - c^2
     W = one_record_weights()
     for c in (0.5, 0.8, 1.5):
-        sol = _QuadraticModel(W, np.array([c])).solve([0])
+        sol = model_solve(point_model(W, np.array([c])), [0])
         assert sol == pytest.approx([2 * c - c * c], abs=1e-12)
 
 
@@ -98,8 +133,8 @@ def test_inner_loop_reaches_both_blocks():
     # denominators from a lopsided start make the uncovered block's model
     # gradient negative, so the inner loop must add it
     W = two_block_weights()
-    model = _QuadraticModel(W, np.array([0.9, 0.1]))
-    target, support = _inner_loop(model, [0], W.m, 1e-12)
+    model = point_model(W, np.array([0.9, 0.1]))
+    target, support = inner_loop(model, [0], W.m, 1e-12)
     assert sorted(support) == [0, 1]
     assert np.all(target >= 0)
     assert target[1] > 0
@@ -119,26 +154,54 @@ class AddThenRefuseModel(_QuadraticModel):
     """Invites grid point 0 into the support, then gives it negative mass,
     which the active-set exchange rules out in exact arithmetic."""
 
-    def solve(self, support):
-        return np.where(np.asarray(support) == 0, -1.0, 1.0)
+    def solve(self, reps, supports):
+        return np.where(supports == 0, -1.0, 1.0), {}
 
-    def gradient(self, support, masses):
-        grad = np.zeros(self.b.size)
-        grad[0] = -1.0
+    def gradient(self, reps, supports, masses):
+        grad = np.zeros((len(reps), self.b.shape[1]))
+        grad[:, 0] = -1.0
         return grad
 
 
 def test_inner_loop_refusing_the_added_point_is_a_typed_error():
     W = two_block_weights()
-    model = AddThenRefuseModel(W, np.array([0.5, 0.5]))
+    model = point_model(W, np.array([0.5, 0.5]), AddThenRefuseModel)
     with pytest.raises(NonConvergenceError, match="just added"):
-        _inner_loop(model, [1], W.m, 1e-12)
+        inner_loop(model, [1], W.m, 1e-12)
+
+
+def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch):
+    # the three replicates start on both days; the second drew no record
+    # on day 2, so its normal matrix alone fails to factor, and only its
+    # pass drops day 2; each pass gives the target of its batch of one
+    W = two_block_weights()
+    counts = np.array([[1.0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]])
+    terms = np.tile(W.dense @ np.array([0.5, 0.5]), (3, 1))
+    model = _QuadraticModel(W, terms, counts, counts.sum(axis=1))
+    solve = _QuadraticModel.solve
+    failures = []
+
+    def recorded(self, reps, supports):
+        solutions, failed = solve(self, reps, supports)
+        failures.extend((int(reps[i]), pivot) for i, pivot in failed.items())
+        return solutions, failed
+
+    monkeypatch.setattr(_QuadraticModel, "solve", recorded)
+    targets, supports, errors = _inner_loop(model, [[0, 1]] * 3, W.m, 1e-12)
+    assert failures == [(1, 1)]
+    assert errors == [None] * 3
+    assert supports == [[0, 1], [0], [0, 1]]
+    for r in range(3):
+        one = slice(r, r + 1)
+        alone = _QuadraticModel(W, terms[one], counts[one], counts[one].sum(axis=1))
+        target, _ = inner_loop(alone, [0, 1], W.m, 1e-12)
+        assert np.array_equal(targets[r], target)
 
 
 def test_armijo_zero_direction_returns_start():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
-    p, alpha, terms, value = armijo_search(p0, p0.copy(), W)
+    p, alpha, terms, value = line_search(p0, p0.copy(), W)
     assert np.array_equal(p, p0)
     assert np.array_equal(terms, W.dense @ p0) and value == phi(p0, W)
 
@@ -147,7 +210,7 @@ def test_armijo_accepts_full_step_on_clean_descent():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
     target = np.array([0.9, 0.1])
-    p, alpha, _, _ = armijo_search(p0, target, W)
+    p, alpha, _, _ = line_search(p0, target, W)
     assert alpha == 1.0
     assert phi(p, W) < phi(p0, W)
 
@@ -158,7 +221,7 @@ def test_armijo_backtracks_past_infeasible_target():
     W = two_block_weights()
     p0 = np.array([0.5, 0.5])
     target = np.array([1.2, -0.2])
-    p, alpha, terms, value = armijo_search(p0, target, W)
+    p, alpha, terms, value = line_search(p0, target, W)
     assert alpha < 1.0
     assert phi(p, W) < phi(p0, W)
     # the accepted iterate comes with its own terms and criterion value
@@ -182,9 +245,9 @@ def test_infeasible_line_search_trial_looks_up_no_record(monkeypatch):
 
     trial = solver_module._trial
 
-    def recorded(p, weights):
-        terms, value = trial(p, weights)
-        values.append(value)
+    def recorded(p, weights, counts, n):
+        terms, value = trial(p, weights, counts, n)
+        values.extend(value)
         return terms, value
 
     monkeypatch.setattr(WeightMatrix, "record_of", counted)
@@ -240,7 +303,7 @@ def test_fit_subproblem_fixed_point():
     mass, trace, W, grid = _simulated_fit(seed=23)
     p = trace.final_masses
     support = list(np.flatnonzero(p > 0.0))
-    again = _QuadraticModel(W, p).solve(support)
+    again = model_solve(point_model(W, p), support)
     assert np.allclose(again, p[support], atol=1e-9)
 
 
@@ -327,11 +390,11 @@ def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate(
     inner_loop = solver_module._inner_loop
     passes = []
 
-    def emptied(model, start_support, m, inner_tol):
+    def emptied(model, start_supports, m, inner_tol):
         if not passes:
-            start_support = []
-        passes.append(list(start_support))
-        return inner_loop(model, start_support, m, inner_tol)
+            start_supports = [[]]
+        passes.append(list(start_supports[0]))
+        return inner_loop(model, start_supports, m, inner_tol)
 
     monkeypatch.setattr(solver_module, "_inner_loop", emptied)
     masses, trace = solver_module._minimize(W, SolverConfig(), start=start)
@@ -360,21 +423,22 @@ def test_refit_whose_added_point_depends_on_the_start_support_converges():
     # the replicate's records make a day added to the seeded support a
     # combination of the support's days; it takes the place of the support
     # day its exchange step picks instead of being refused as just added
-    from incutime.bootstrap import _replicate_indices
+    from incutime.bootstrap import _replicate_counts, _replicate_indices
     from incutime.em import fit_em
-    from incutime.solver import _minimize
+    from incutime.solver import _minimize, _minimize_batch
 
     data = validate_dataset(Dataset.doubly([5, 5, 2, 2], [4, 0, 2, 1], [9, 3, 3, 8]))
     grid = candidate_grid(data)
     W = build_weight_matrix(data, grid)
     p_hat, _ = _minimize(W, SolverConfig())
+    counts = _replicate_counts(W, 1003, 1)
+    masses, errors, _ = _minimize_batch(W, counts[None], SolverConfig(), start=p_hat)
+    assert errors == [None]
     idx = _replicate_indices(1003, 1, W.n)
-    sub = W.take(idx)
-    masses, trace = _minimize(sub, SolverConfig(), start=p_hat)
-    assert trace.converged
-    min_grad, comp = fenchel_residuals(masses, sub)
+    sub = build_weight_matrix(data.take(idx), grid)
+    min_grad, comp = fenchel_residuals(masses[0], sub)
     assert min_grad >= -1e-10 and comp <= 1e-10
     reference = fit_em(data.take(idx), grid).as_vector(grid)
     np.testing.assert_allclose(
-        sub.dense @ masses, sub.dense @ reference, rtol=0, atol=1e-8
+        sub.dense @ masses[0], sub.dense @ reference, rtol=0, atol=1e-8
     )
