@@ -16,7 +16,6 @@ from .errors import (
     IncutimeError,
     InfeasiblePointError,
     InfeasibleRecordError,
-    LineSearchError,
     NonConvergenceError,
     SingularMatrixError,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "IntervalRow",
     "IntervalTable",
     "IterationTrace",
-    "LineSearchError",
     "MassFunction",
     "NonConvergenceError",
     "SingularMatrixError",

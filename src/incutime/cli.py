@@ -8,10 +8,10 @@ ci         fit plus confidence intervals (wald or bootstrap)
 coverage   Monte Carlo coverage study of the interval methods
 
 Exit codes, by exception class: 0 success, 2 solver did not converge
-(NonConvergenceError, LineSearchError), 3 invalid input or arguments
-(DatasetValidationError, ValueError, OSError), 4 any other IncutimeError
-(infeasible or degenerate data, too many failed replicates) or MemoryError
-(a grid or matrix too large to allocate).
+(NonConvergenceError), 3 invalid input or arguments (DatasetValidationError,
+ValueError, OSError), 4 any other IncutimeError (infeasible or degenerate
+data, too many failed replicates) or MemoryError (a grid or matrix too large
+to allocate).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     DatasetValidationError,
     DegenerateFitError,
     IncutimeError,
-    LineSearchError,
     NonConvergenceError,
 )
 from .inference import fisher_result, wald_intervals
@@ -429,7 +428,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 3
     try:
         return args.func(args)
-    except (NonConvergenceError, LineSearchError) as exc:
+    except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DatasetValidationError, ValueError, OSError) as exc:

@@ -45,10 +45,6 @@ class SingularMatrixError(IncutimeError):
         self.pivot = pivot
 
 
-class LineSearchError(IncutimeError):
-    """Raised when no step length gives sufficient descent."""
-
-
 class NonConvergenceError(IncutimeError):
     """Raised when an iterative fit stops before reaching its tolerance.
 

@@ -24,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateFitError, SingularMatrixError
-from .linalg import spd_invert
+from .linalg import check_symmetric, cholesky_pivots, spd_invert
 from .model import DayCdf, MassFunction
 from .solver import SolverConfig
 from .weights import WeightMatrix
@@ -94,13 +94,23 @@ def observed_fisher(
     replicate did not draw drop out.
     """
     counts = weights.counts if counts is None else counts
+    return _information(weights, _centered_columns(weights, support), masses, counts)
+
+
+def _centered_columns(weights: WeightMatrix, support) -> np.ndarray:
+    """The columns w_i(j) - w_i(m) of the information matrix, (rows, l - 1)."""
     support = np.asarray(support, dtype=int)
     if support.size < 2:
         raise DegenerateFitError("information matrix needs at least 2 mass points")
     points = weights.grid.points
     if not np.isin(support, points).all():
         raise ValueError("support days must be grid points")
-    cols = np.searchsorted(points, support)
+    at_support = weights.dense[:, np.searchsorted(points, support)]
+    return at_support[:, :-1] - at_support[:, [-1]]
+
+
+def _information(weights: WeightMatrix, centered, masses, counts) -> np.ndarray:
+    """``observed_fisher`` from the support's ``_centered_columns``."""
     denom = weights.dense @ masses
     drawn = counts > 0.0
     bad = np.flatnonzero((denom <= 0.0) & drawn)
@@ -108,11 +118,8 @@ def observed_fisher(
         raise DegenerateFitError(
             f"record {weights.record_of(int(bad[0]))} has zero fitted probability"
         )
-    at_support = weights.dense[:, cols]
-    centered = (at_support[:, :-1] - at_support[:, [-1]]) * (
-        np.sqrt(counts) / np.where(drawn, denom, 1.0)
-    )[:, None]
-    return (centered.T @ centered) / counts.sum()
+    scaled = centered * (np.sqrt(counts) / np.where(drawn, denom, 1.0))[:, None]
+    return (scaled.T @ scaled) / counts.sum()
 
 
 def averaged_inverse_information(
@@ -141,29 +148,42 @@ def averaged_inverse_information(
     count vector over the rows of the fit's weight matrix, so no dataset is
     copied and no weight is evaluated twice, and the engine refits them
     together, starting at ``masses`` with their support as the first
-    working set.
+    working set.  The matrices of one batch of refits are tested and
+    inverted together, one stacked call each, and each inverse is that of
+    ``spd_invert`` on its matrix alone, bit for bit.
     """
-    from .bootstrap import check_replicate_failures, refit_replicates
+    from .bootstrap import BATCH_CAP, check_replicate_failures, refit_replicates
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
-    support = weights.grid.points[masses > 0.0]
+    centered = _centered_columns(weights, weights.grid.points[masses > 0.0])
     total = None
     used = 0
     skipped = 0
-    for result in refit_replicates(weights, seed, b, solver_config, masses):
+    batch = []
+    replicates = refit_replicates(weights, seed, b, solver_config, masses)
+    for k, result in enumerate(replicates, 1):
         if result is None:
             skipped += 1
-            continue
-        counts, refit = result
-        try:
-            fisher = observed_fisher(weights, refit, support, counts)
-            inverse = spd_invert(fisher)
-        except (DegenerateFitError, SingularMatrixError):
-            skipped += 1
-            continue
-        total = inverse if total is None else total + inverse
-        used += 1
+        else:
+            counts, refit = result
+            try:
+                fisher = _information(weights, centered, refit, counts)
+            except DegenerateFitError:
+                skipped += 1
+            else:
+                check_symmetric(fisher)
+                batch.append(fisher)
+        if batch and (k % BATCH_CAP == 0 or k == b):
+            stack = np.array(batch)
+            batch = []
+            failed = cholesky_pivots(stack)
+            if failed:
+                skipped += len(failed)
+                stack = np.delete(stack, list(failed), axis=0)
+            for inverse in np.linalg.inv(stack):
+                total = inverse if total is None else total + inverse
+                used += 1
     check_replicate_failures(skipped, b, "Fisher averaging replicates were skipped")
     return total / used, skipped
 

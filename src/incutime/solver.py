@@ -34,6 +34,13 @@ as a count-weighted sum over the distinct records (the rows of the
 ``WeightMatrix``); the cost of an iteration scales with the number of
 distinct records, not with n.
 
+The quadratic models, the inner passes and the exchange step run only on
+the kept columns of the weight matrix (``_kept_columns``): the days that no
+other day dominates, plus the start's positive days.  Some maximizer puts
+no mass on a dominated day, and the gradient there is never below that of
+the day dominating it, so the certificate, which like the terms, criteria,
+gradients and line search trials runs on the full grid, still holds there.
+
 One engine, ``_minimize_batch``, fits a batch of count vectors over the rows
 of one matrix in lockstep: every uncertified member advances through each
 outer iteration together, and its terms, criterion, gradient, certificate
@@ -210,21 +217,23 @@ class _QuadraticModel:
     b_k  = (2/n) sum_i c_i w_i(k) / d_i - 1,
     summed over the rows i with the replicate's counts c_i.
     G is the exact Hessian and grad Q(p0) = grad phi(p0), so minimizing Q
-    over the cone is a projected Newton step.  ``gram`` stacks the G and
-    ``b`` the b of the replicates, one per row of ``terms``.
+    over the cone is a projected Newton step.  The model's days are the
+    columns of ``dense``, the batch's kept columns of the weight matrix.
+    ``gram`` stacks the G and ``b`` the b of the replicates, one per row of
+    ``terms``.
     """
 
-    def __init__(self, weights: WeightMatrix, terms, counts, n):
+    def __init__(self, dense: np.ndarray, terms, counts, n):
         # rows scaled by sqrt(count) / d_i, so that the count-weighted sums
         # are plain products and each Gram matrix is exactly symmetric; one
         # replicate at a time, so that no (B, rows, m) array is formed
-        m = weights.m
+        m = dense.shape[1]
         self._columns = np.arange(m)[:, None]
         self.b = np.empty((len(counts), m))
         self.gram = np.empty((len(counts), m, m))
         for r, (drawn, d) in enumerate(zip(counts, terms)):
             root = np.sqrt(drawn)
-            scaled = weights.dense * (root / _drawn_terms(d))[:, None]
+            scaled = dense * (root / _drawn_terms(d))[:, None]
             self.b[r] = 2.0 * (root @ scaled) / n[r] - 1.0
             self.gram[r] = (scaled.T @ scaled) / n[r]
 
@@ -243,7 +252,7 @@ class _QuadraticModel:
         return spd_solve_stack(a, self.b[reps[:, None], supports])
 
     def gradient(self, reps: np.ndarray, supports: np.ndarray, masses: np.ndarray):
-        """Model gradients over the full grid at the embedded support solutions."""
+        """Model gradients on all the model's days at the support solutions."""
         if not supports.shape[1]:
             return -self.b[reps]
         at_support = self.gram[reps[:, None, None], self._columns, supports[:, None, :]]
@@ -294,8 +303,9 @@ def _inner_pass(
     Alternates between dropping the most negative mass point and adding the
     off-support point with the most negative model gradient, re-solving the
     normal equations after every change.  ``start_support`` holds sorted,
-    distinct grid indices: the start's support on a fit's first pass (empty
-    from the uniform start), the previous pass's support after that.
+    distinct indices of the model's days: the start's support on a fit's
+    first pass (empty from the uniform start), the previous pass's support
+    after that.
 
     The working support stays linearly independent, as the active-set rules
     need: a column found dependent on the support leaves it, so the gradient
@@ -306,7 +316,7 @@ def _inner_pass(
     together: it yields each support it needs the model solved on, and is
     sent the solution with the model gradient there.  A solve whose normal
     matrix does not factor is thrown back as SingularMatrixError.  Returns
-    the target masses over the grid and the final support.
+    the target masses over the model's m days and the final support.
     """
     support = list(start_support)
     masses, grad = yield from _solve_independent(support)
@@ -490,6 +500,34 @@ def armijo_search(p0, p_target, weights: WeightMatrix, counts, n, terms, grad, b
         accepted = trial_values <= level + ARMIJO_C * step * rate
 
 
+def _kept_columns(dense: np.ndarray, start: np.ndarray | None) -> np.ndarray:
+    """The grid columns a batch's quadratic models and inner passes run on.
+
+    A column entrywise no larger than another is dominated: moving its mass
+    to the other raises no likelihood term, so some maximizer puts none on
+    it, and its gradient is never below the other's.  The undominated
+    columns are the maximal intersections of Turnbull (1976).  A record's
+    weights are unimodal in the day, so a dominated column is no larger
+    than its neighbour on that side, or than the nearest column on that
+    side that differs from it; of a run of equal columns the first is kept.
+    On any matrix, each dropped column lies below a kept one.  Every column
+    where ``start`` is positive is kept too, so a warm start stays a point
+    of the reduced problem.
+    """
+    # below[j] / above[j]: column j is entrywise <= / >= column j + 1; a run
+    # is compared with its neighbours through its first and last columns
+    below = (dense[:, :-1] <= dense[:, 1:]).all(axis=0)
+    above = (dense[:, :-1] >= dense[:, 1:]).all(axis=0)
+    heads = np.flatnonzero(np.r_[True, ~(below & above)])
+    ends = np.r_[heads[1:] - 1, dense.shape[1] - 1]
+    dominated = np.r_[False, above][heads] | np.r_[below, False][ends]
+    kept = np.zeros(dense.shape[1], dtype=bool)
+    kept[heads[~dominated]] = True
+    if start is not None:
+        kept |= start > 0.0
+    return np.flatnonzero(kept)
+
+
 def _trace(history: list, r: int, final_masses: np.ndarray, converged=False):
     """Replicate r's outer iteration trace from the batch's history."""
     trace = IterationTrace(converged=converged, final_masses=final_masses)
@@ -523,7 +561,9 @@ def _minimize_batch(
     there.  The first inner pass starts from the support of ``start`` when
     given, and from an empty support otherwise.  Each outer iteration
     builds the quadratic models, runs the inner passes and line searches
-    of every uncertified replicate together.
+    of every uncertified replicate together.  The models and inner passes
+    run on the ``_kept_columns`` of the batch, and their targets get zero
+    mass on the other days; everything else runs on the full grid.
 
     Returns ``(masses, errors, history)``: the certified masses (B, m);
     for each replicate the IncutimeError that ended its fit (its row of
@@ -534,12 +574,14 @@ def _minimize_batch(
     counts = np.asarray(counts, dtype=float)
     dense = weights.dense
     m = weights.m
+    kept = _kept_columns(dense, start)
+    reduced = dense[:, kept]
     if start is None:
         first = np.full(m, 1.0 / m)
         start_support: list[int] = []
     else:
         first = np.asarray(start, dtype=float)
-        start_support = np.flatnonzero(first > 0.0).tolist()
+        start_support = np.flatnonzero(first[kept] > 0.0).tolist()
     masses = np.tile(first, (len(counts), 1))
     errors: list = [None] * len(counts)
     history: list = []
@@ -578,9 +620,13 @@ def _minimize_batch(
                     trace=_trace(history, r, p[i]),
                 )
             break
-        model = _QuadraticModel(weights, terms, counts, n)
-        targets, supports, inner_errors = _inner_loop(model, supports, m, INNER_TOL)
-        del model  # a (B, m, m) stack; the next one is built without it
+        model = _QuadraticModel(reduced, terms, counts, n)
+        kept_targets, supports, inner_errors = _inner_loop(
+            model, supports, kept.size, INNER_TOL
+        )
+        del model  # B Gram matrices; the next ones are built without them
+        targets = np.zeros((len(kept_targets), m))
+        targets[:, kept] = kept_targets
         if any(inner_errors):
             for r, error in zip(ids, inner_errors):
                 errors[r] = error

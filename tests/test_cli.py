@@ -17,7 +17,6 @@ from incutime import (
     IncutimeError,
     InfeasiblePointError,
     InfeasibleRecordError,
-    LineSearchError,
     NonConvergenceError,
     SingularMatrixError,
     build_weight_matrix,
@@ -434,7 +433,6 @@ def test_exit_code_invalid_input(tmp_path):
 # the documented exit code of every package error, by class
 EXIT_CODES = [
     (NonConvergenceError("forced"), 2),
-    (LineSearchError("forced"), 2),
     (DatasetValidationError("forced"), 3),
     (InfeasibleRecordError(0), 4),
     (InfeasiblePointError(0), 4),

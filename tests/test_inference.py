@@ -10,6 +10,7 @@ from incutime import (
     Grid,
     MassFunction,
     NonConvergenceError,
+    SingularMatrixError,
     SolverConfig,
     build_weight_matrix,
     candidate_grid,
@@ -122,6 +123,45 @@ def test_averaged_inverse_dominates_inverse_of_plain_matrix():
     plain = observed_fisher(weights, mass.as_vector(grid), mass.support)
     gap_diag = np.diag(averaged - spd_invert(plain))
     assert gap_diag.sum() > 0
+
+
+def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
+    # each batch's matrices are tested and inverted together; the mean is
+    # bit for bit that of inverting them one at a time, and a replicate
+    # whose matrix fails the pivot test is skipped without touching the
+    # others' sum.  The batches here hold 8 replicates, so the bad one
+    # shares a batch with good ones
+    import incutime.bootstrap as bootstrap_module
+
+    truth = TruthSpec(family="truncexp", a=6.0, m1=15)
+    data = draw_doubly(400, truth, ExposureSpec(m2=15), seed=74)
+    grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
+    mass, _ = fit_npmle(data, grid)
+    p_hat = mass.as_vector(grid)
+    config = SolverConfig()
+    results = list(bootstrap_module.refit_replicates(weights, 65, 20, config, p_hat))
+    assert None not in results
+    expected = None
+    for counts, masses in results:
+        inverse = spd_invert(observed_fisher(weights, masses, mass.support, counts))
+        expected = inverse if expected is None else expected + inverse
+    expected = expected / len(results)
+    # all records on one row make a rank-one matrix
+    one_row = np.zeros(weights.dense.shape[0])
+    one_row[0] = weights.n
+    with pytest.raises(SingularMatrixError):
+        spd_invert(observed_fisher(weights, p_hat, mass.support, one_row))
+    monkeypatch.setattr(bootstrap_module, "BATCH_CAP", 8)
+    for replicates in (results, [*results[:10], (one_row, p_hat), *results[10:]]):
+        monkeypatch.setattr(
+            bootstrap_module, "refit_replicates", lambda *args, r=replicates: iter(r)
+        )
+        averaged, skipped = averaged_inverse_information(
+            weights, config, p_hat, b=len(replicates), seed=65
+        )
+        assert skipped == len(replicates) - len(results)
+        assert np.array_equal(averaged, expected)
 
 
 def test_cdf_covariance_identity_information():

@@ -34,6 +34,7 @@ from incutime.solver import (  # noqa: E402
     SolverConfig,
     _minimize,
     _minimize_batch,
+    _kept_columns,
     _QuadraticModel,
 )
 from incutime.weights import window_weight  # noqa: E402
@@ -87,7 +88,9 @@ def test_count_weighted_sums_equal_per_record_sums(data, seed):
     assert W.n == data.n
     assert phi(p, W) == pytest.approx(value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(phi_gradient(p, W), grad, rtol=1e-12, atol=1e-12)
-    model = _QuadraticModel(W, (W.dense @ p)[None], W.counts[None], np.array([W.n]))
+    model = _QuadraticModel(
+        W.dense, (W.dense @ p)[None], W.counts[None], np.array([W.n])
+    )
     np.testing.assert_allclose(model.gram[0], hessian, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(model.b[0], 1.0 - 2.0 * grad, rtol=1e-12, atol=1e-12)
 
@@ -240,6 +243,24 @@ def test_last_trace_row_is_evaluated_at_the_returned_masses(data):
     p = trace.final_masses
     assert last.criterion == phi(p, W)
     assert (last.min_gradient, last.complementarity) == fenchel_residuals(p, W)
+
+
+@SETTINGS
+@given(data=datasets(), m1=st.none() | st.integers(1, 9))
+@example(data=validate_dataset(Dataset.singly([3, 1], [3, 3])), m1=None)
+@example(data=validate_dataset(Dataset.doubly([5], [7], [10])), m1=None)
+def test_kept_columns_are_the_columns_no_other_column_dominates(data, m1):
+    # a column is dropped when another column is entrywise at least as
+    # large and differs from it or comes before it; comparing runs of equal
+    # columns with their neighbouring runs finds exactly those columns (the
+    # first example's days 1 and 2 are equal and below day 3)
+    W = weights_or_skip(data, candidate_grid(data, m1))
+    cols = W.dense.T
+    below = (cols[:, None, :] <= cols[None, :, :]).all(axis=2)
+    equal = below & below.T
+    j, k = np.indices(below.shape)
+    dominated = ((below & ~equal) | (equal & (k < j))).any(axis=1)
+    assert np.array_equal(_kept_columns(W.dense, None), np.flatnonzero(~dominated))
 
 
 def reference_pivot(a):

@@ -49,7 +49,7 @@ def two_block_weights():
 
 def point_model(W, p, model=_QuadraticModel):
     """The quadratic model of W's own fit at p, a batch of one."""
-    return model(W, (W.dense @ p)[None], W.counts[None], np.array([float(W.n)]))
+    return model(W.dense, (W.dense @ p)[None], W.counts[None], np.array([float(W.n)]))
 
 
 def model_solve(model, support):
@@ -177,7 +177,7 @@ def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch
     W = two_block_weights()
     counts = np.array([[1.0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]])
     terms = np.tile(W.dense @ np.array([0.5, 0.5]), (3, 1))
-    model = _QuadraticModel(W, terms, counts, counts.sum(axis=1))
+    model = _QuadraticModel(W.dense, terms, counts, counts.sum(axis=1))
     solve = _QuadraticModel.solve
     failures = []
 
@@ -193,7 +193,9 @@ def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch
     assert supports == [[0, 1], [0], [0, 1]]
     for r in range(3):
         one = slice(r, r + 1)
-        alone = _QuadraticModel(W, terms[one], counts[one], counts[one].sum(axis=1))
+        alone = _QuadraticModel(
+            W.dense, terms[one], counts[one], counts[one].sum(axis=1)
+        )
         target, _ = inner_loop(alone, [0, 1], W.m, 1e-12)
         assert np.array_equal(targets[r], target)
 
@@ -230,11 +232,14 @@ def test_armijo_backtracks_past_infeasible_target():
 
 def test_infeasible_line_search_trial_looks_up_no_record(monkeypatch):
     # a full step of this fit's line search leaves a record with no mass;
-    # the trial is rejected without scanning the records for its index
+    # the trial is rejected without scanning the records for its index.  No
+    # grid day is dominated, so the first inner pass runs on the full grid
+    # and its target leaves day 2 empty
     import incutime.solver as solver_module
 
-    data = validate_dataset(Dataset.singly([1, 1, 3], [1, 1, 4]))
+    data = validate_dataset(Dataset.singly([1] * 5, [1, 2, 2, 2, 2]))
     W = build_weight_matrix(data, candidate_grid(data))
+    assert solver_module._kept_columns(W.dense, None).size == W.m
     record_of = WeightMatrix.record_of
     lookups = []
     values = []
@@ -255,9 +260,7 @@ def test_infeasible_line_search_trial_looks_up_no_record(monkeypatch):
     masses, _ = solver_module._minimize(W, SolverConfig())
     assert np.inf in values
     assert lookups == []
-    np.testing.assert_allclose(
-        masses, [0.6666666666666669, 0.3333333333333333, 0.0, 0.0], rtol=0, atol=1e-15
-    )
+    np.testing.assert_allclose(masses, [0.2, 0.8], rtol=0, atol=1e-15)
 
 
 def test_fit_trivial_dataset_converges_without_iterations():
@@ -442,3 +445,49 @@ def test_refit_whose_added_point_depends_on_the_start_support_converges():
     np.testing.assert_allclose(
         sub.dense @ masses[0], sub.dense @ reference, rtol=0, atol=1e-8
     )
+
+
+def test_warm_start_mass_on_a_dominated_day_stays_feasible_and_certifies():
+    # day 1's column is zero and day 2's lies below day 3's, so neither is
+    # kept from the weights alone; the start's mass on day 2 keeps day 2,
+    # and the fit moves it to day 3 and certifies on the full grid
+    from incutime.solver import _kept_columns, _minimize, _minimize_batch
+
+    data = validate_dataset(Dataset.singly([2, 1], [3, 3]))
+    W = build_weight_matrix(data, candidate_grid(data))
+    start = np.array([0.0, 0.9, 0.1])
+    assert _kept_columns(W.dense, None).tolist() == [2]
+    assert _kept_columns(W.dense, start).tolist() == [1, 2]
+    masses, trace = _minimize(W, SolverConfig(), start=start)
+    assert trace.converged
+    assert masses[:2].tolist() == [0.0, 0.0]
+    assert masses[2] == pytest.approx(1.0, abs=1e-10)
+    min_grad, comp = fenchel_residuals(masses, W)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+    counts = np.array([[2.0, 0.0], [1.0, 1.0]])
+    batch, errors, _ = _minimize_batch(W, counts, SolverConfig(), start=start)
+    assert errors == [None, None]
+    for r in range(2):
+        alone, _, _ = _minimize_batch(W, counts[r : r + 1], SolverConfig(), start=start)
+        assert np.array_equal(batch[r], alone[0])
+
+
+def test_fit_on_a_2000_day_grid_certifies():
+    # one late onset stretches the grid to 2,000 days, of which only the
+    # undominated ones enter the quadratic models
+    from incutime.solver import _kept_columns
+
+    truth = TruthSpec(family="weibull", a=WEIBULL_A, b=WEIBULL_B, m1=15)
+    drawn = draw_singly(399, truth, ExposureSpec(m2=15), 31)
+    data = validate_dataset(
+        Dataset.singly([*drawn.e.tolist(), 1], [*drawn.s.tolist(), 2000])
+    )
+    grid = candidate_grid(data)
+    W = build_weight_matrix(data, grid)
+    assert W.m == 2000 and _kept_columns(W.dense, None).size < 50
+    mass, trace = fit_npmle(data, grid)
+    assert trace.converged
+    min_grad, comp = fenchel_residuals(trace.final_masses, W)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+    assert mass.support[-1] == 2000
+    assert mass.probs[-1] == pytest.approx(1 / 400, abs=1e-12)
