@@ -11,11 +11,13 @@ A resample is a multinomial reweighting of the records (Efron & Tibshirani,
 are reduced to a count vector over the rows of the fit's weight matrix, 0
 on every row it did not draw.  The replicates are refitted together, up to
 ``BATCH_CAP`` at a time, by the solver's lockstep engine, which drops a
-zero-count row out of every sum.  Every row a replicate draws is a row of
-the fit's, so the point fit's masses give it a positive term, and each
-refit starts there, with their support as its first working set, instead
-of at the uniform vector: it needs fewer outer iterations and fewer
-normal-equation solves to reach the same certificate.
+zero-count row out of every sum; ``refit_replicates`` is the one place
+that splits them into batches, and its callers take one batch at a time.
+Every row a replicate draws is a row of the fit's, so the point fit's
+masses give it a positive term, and each refit starts there, with their
+support as its first working set, instead of at the uniform vector: it
+needs fewer outer iterations and fewer normal-equation solves to reach the
+same certificate.
 ``refit_replicates`` is the one replicate engine behind both the bootstrap
 and Fisher averaging, and ``check_replicate_failures`` their one failure
 policy.
@@ -80,11 +82,13 @@ def refit_replicates(
 
     Replicate k draws the records of ``resample(data, seed, k)``, and its
     refit starts at ``start``, the point fit's grid masses.  Returns an
-    iterator that yields, in replicate order, ``(counts, masses)`` with the
-    replicate's count vector over the rows of W and its fitted grid masses,
-    or None when the refit raised any IncutimeError; the caller decides how
-    many failures it tolerates.  A failed replicate leaves the others
-    unchanged.
+    iterator over the batches of at most ``BATCH_CAP`` replicates, in
+    replicate order.  Each yields ``(counts, masses, ok)``: the replicates'
+    count vectors over the rows of W (B, rows), their fitted grid masses
+    (B, m), and (B,) whether each refit succeeded.  A replicate whose refit
+    raised any IncutimeError has ``ok`` False and meaningless masses; the
+    caller decides how many failures it tolerates.  A failed replicate
+    leaves the others unchanged.
 
     Raises ValueError, before any replicate is drawn, when ``start`` gives
     some record of W a zero likelihood term: every refit would fail there.
@@ -98,12 +102,9 @@ def refit_replicates(
     def refits():
         for first in range(0, b, BATCH_CAP):
             batch = range(first, min(b, first + BATCH_CAP))
-            counts = np.empty((len(batch), W.dense.shape[0]))
-            for row, k in zip(counts, batch):
-                row[:] = _replicate_counts(W, seed, k)
+            counts = np.array([_replicate_counts(W, seed, k) for k in batch], float)
             masses, errors, _ = _minimize_batch(W, counts, config, start)
-            for row, probs, error in zip(counts, masses, errors):
-                yield None if error is not None else (row, probs)
+            yield counts, masses, np.array([error is None for error in errors])
 
     return refits()
 
@@ -153,23 +154,18 @@ def bootstrap_ci(
     # grid point j covers days grid.points[j] ..; value at day d is the
     # partial sum over grid points <= d.
     below = np.searchsorted(grid.points, points, side="right")
-    deltas = np.empty((config.b, len(points)))
+    deltas = []
     failed = 0
-    kept = 0
     replicates = refit_replicates(
         weights, config.seed, config.b, solver_config, mass.as_vector(grid)
     )
-    for result in replicates:
-        if result is None:
-            failed += 1
-            continue
-        _, probs = result
-        rep_cdf = np.minimum(np.cumsum(probs), 1.0)
-        rep_values = np.where(below > 0, rep_cdf[np.maximum(below - 1, 0)], 0.0)
-        deltas[kept] = rep_values - estimates
-        kept += 1
+    for _, probs, ok in replicates:
+        failed += np.count_nonzero(~ok)
+        rep_cdf = np.minimum(np.cumsum(probs[ok], axis=1), 1.0)
+        rep_values = np.where(below > 0, rep_cdf[:, np.maximum(below - 1, 0)], 0.0)
+        deltas.append(rep_values - estimates)
     check_replicate_failures(failed, config.b, "bootstrap replicates failed to refit")
-    deltas = deltas[:kept]
+    deltas = np.concatenate(deltas)
     alpha = 1.0 - level
     lo_q = np.quantile(deltas, alpha / 2.0, axis=0)
     hi_q = np.quantile(deltas, 1.0 - alpha / 2.0, axis=0)

@@ -203,20 +203,25 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _fit(data: Dataset, m1, config: SolverConfig):
+    """(weights, mass, trace) of the fit of ``data`` on its candidate grid."""
+    weights = build_weight_matrix(data, candidate_grid(data, m1))
+    mass, trace = fit_weights(weights, config)
+    return weights, mass, trace
+
+
 def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data, args.mode)
-    grid = candidate_grid(data, args.m1)
     config = SolverConfig(tol=args.tol, max_outer=args.max_outer)
-    weights = build_weight_matrix(data, grid)
     try:
-        mass, trace = fit_weights(weights, config)
+        weights, mass, trace = _fit(data, args.m1, config)
     except NonConvergenceError as exc:
         # keep the partial trace; main maps the error to its exit code
         if args.trace_out and exc.trace is not None:
             exc.trace.write(args.trace_out)
         raise
-    fhat = cdf_from_mass(mass, grid)
-    _write_estimate_csv(args.out, mass, fhat, grid)
+    fhat = cdf_from_mass(mass, weights.grid)
+    _write_estimate_csv(args.out, mass, fhat, weights.grid)
     if args.trace_out:
         trace.write(args.trace_out)
     return 0
@@ -259,12 +264,10 @@ def _interval_table(weights, mass, args, horizon, points, solver_config):
 def cmd_ci(args) -> int:
     _check_interval_args(args)
     data = read_dataset_csv(args.data, args.mode)
-    grid = candidate_grid(data, args.m1)
-    horizon = args.m1 if args.m1 is not None else int(grid.points[-1])
-    points = args.points if args.points is not None else list(range(1, horizon + 1))
     solver_config = SolverConfig()
-    weights = build_weight_matrix(data, grid)
-    mass, _ = fit_weights(weights, solver_config)
+    weights, mass, _ = _fit(data, args.m1, solver_config)
+    horizon = args.m1 if args.m1 is not None else int(weights.grid.points[-1])
+    points = args.points if args.points is not None else list(range(1, horizon + 1))
     table = _interval_table(weights, mass, args, horizon, points, solver_config)
     table.to_csv(args.out)
     return 0
@@ -284,10 +287,8 @@ def cmd_coverage(args) -> int:
     for rep in range(args.reps):
         try:
             data = draw(args.n, truth, exposure, [args.seed, rep])
-            grid = candidate_grid(data, truth.m1)
             solver_config = SolverConfig()
-            weights = build_weight_matrix(data, grid)
-            mass, _ = fit_weights(weights, solver_config)
+            weights, mass, _ = _fit(data, truth.m1, solver_config)
             table = _interval_table(
                 weights, mass, args, truth.m1, points, solver_config
             )
@@ -337,6 +338,24 @@ def _add_truth_args(sub, b_flag: str = "--b") -> None:
     )
 
 
+def _add_interval_args(sub) -> None:
+    sub.add_argument("--level", type=float, default=0.95)
+    sub.add_argument(
+        "--points", type=parse_points, default=None,
+        help='evaluation days, "lo:hi" or "d1,d2,..." (default: 1..m1)',
+    )
+    sub.add_argument(
+        "--b", type=int, default=1000,
+        help="replicates for bootstrap or Fisher averaging (default 1000)",
+    )
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--fisher-averaged", action="store_true",
+        help="use the mean inverse information over --b resampled refits "
+        "(double mode wald only)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="incutime",
@@ -373,22 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[SINGLE, DOUBLE], required=True)
     p.add_argument("--data", required=True, help="dataset CSV path")
     p.add_argument("--method", choices=["wald", "bootstrap"], required=True)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument(
-        "--points", type=parse_points, default=None,
-        help='evaluation days, "lo:hi" or "d1,d2,..." (default: 1..m1)',
-    )
     p.add_argument("--m1", type=int, default=None)
-    p.add_argument(
-        "--b", type=int, default=1000,
-        help="replicates for bootstrap or Fisher averaging (default 1000)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--fisher-averaged", action="store_true",
-        help="use the mean inverse information over --b resampled refits "
-        "(double mode wald only)",
-    )
+    _add_interval_args(p)
     p.add_argument("--out", required=True, help="intervals CSV path")
     p.set_defaults(func=cmd_ci)
 
@@ -398,21 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="records per replicate")
     p.add_argument("--reps", type=int, required=True, help="number of replicates")
     _add_truth_args(p, b_flag="--truth-b")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument(
-        "--points", type=parse_points, default=None,
-        help='evaluation days (default: 1..m1)',
-    )
-    p.add_argument(
-        "--b", type=int, default=1000,
-        help="replicates for bootstrap or Fisher averaging (default 1000)",
-    )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--fisher-averaged", action="store_true",
-        help="use the mean inverse information over --b resampled refits "
-        "(double mode wald only)",
-    )
+    _add_interval_args(p)
     p.add_argument("--out", required=True, help="coverage CSV path")
     p.set_defaults(func=cmd_coverage)
 

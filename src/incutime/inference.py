@@ -24,7 +24,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateFitError, SingularMatrixError
-from .linalg import check_symmetric, cholesky_pivots, spd_invert
+from .linalg import check_symmetric, spd_invert, spd_solve_stack
 from .model import DayCdf, MassFunction
 from .solver import SolverConfig
 from .weights import WeightMatrix
@@ -148,40 +148,39 @@ def averaged_inverse_information(
     count vector over the rows of the fit's weight matrix, so no dataset is
     copied and no weight is evaluated twice, and the engine refits them
     together, starting at ``masses`` with their support as the first
-    working set.  The matrices of one batch of refits are tested and
-    inverted together, one stacked call each, and each inverse is that of
-    ``spd_invert`` on its matrix alone, bit for bit.
+    working set.  The matrices of each batch of refits the engine yields
+    are tested and inverted together, in one ``spd_solve_stack`` against
+    the identity, and each inverse is that of ``spd_invert`` on its matrix
+    alone, bit for bit.
     """
-    from .bootstrap import BATCH_CAP, check_replicate_failures, refit_replicates
+    from .bootstrap import check_replicate_failures, refit_replicates
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
     centered = _centered_columns(weights, weights.grid.points[masses > 0.0])
+    identity = np.eye(centered.shape[1])
     total = None
     used = 0
     skipped = 0
-    batch = []
     replicates = refit_replicates(weights, seed, b, solver_config, masses)
-    for k, result in enumerate(replicates, 1):
-        if result is None:
-            skipped += 1
-        else:
-            counts, refit = result
+    for counts, refits, ok in replicates:
+        skipped += np.count_nonzero(~ok)
+        batch = []
+        for drawn, refit in zip(counts[ok], refits[ok]):
             try:
-                fisher = _information(weights, centered, refit, counts)
+                fisher = _information(weights, centered, refit, drawn)
             except DegenerateFitError:
                 skipped += 1
             else:
                 check_symmetric(fisher)
                 batch.append(fisher)
-        if batch and (k % BATCH_CAP == 0 or k == b):
-            stack = np.array(batch)
-            batch = []
-            failed = cholesky_pivots(stack)
-            if failed:
-                skipped += len(failed)
-                stack = np.delete(stack, list(failed), axis=0)
-            for inverse in np.linalg.inv(stack):
+        if not batch:
+            continue
+        stack = np.array(batch)
+        inverses, failed = spd_solve_stack(stack, np.broadcast_to(identity, stack.shape))
+        skipped += len(failed)
+        for i, inverse in enumerate(inverses):
+            if i not in failed:
                 total = inverse if total is None else total + inverse
                 used += 1
     check_replicate_failures(skipped, b, "Fisher averaging replicates were skipped")

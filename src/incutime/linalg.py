@@ -3,12 +3,17 @@
 The solver and the information-matrix pipeline only ever factor matrices of
 the order of the support size (a few dozen at most).  A Cholesky
 factorization tests every matrix before its solve or inverse, and failure
-reports the offending pivot instead of silently regularizing.  The solver
-tests and solves stacks of such matrices, one per replicate, at once.  A pivot
+reports the offending pivot instead of silently regularizing.  A pivot
 fails when it is non-finite or when L_jj**2 <= PIVOT_TOL * a_jj: the
 factorization of an exactly singular matrix can end on a rounding-sized
 positive pivot, and the solve or inverse behind it would then fail or
 return noise.
+
+``spd_solve_stack`` is the one path: it tests and solves a stack of such
+matrices, one per replicate, at once, and the single solve and the inverse
+are its stacks of one.  An inverse is the solve against the identity, the
+same LAPACK ``gesv`` call that ``np.linalg.inv`` makes, so it is bit for bit
+``np.linalg.inv`` of the matrix.
 """
 
 from __future__ import annotations
@@ -56,14 +61,6 @@ def _failing_pivot(a: np.ndarray) -> int:
     return bad - 1
 
 
-def cholesky_factor(a: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^T = a; raises on the first bad pivot."""
-    low = _factor(a)
-    if low is None:
-        raise SingularMatrixError(pivot=_failing_pivot(a))
-    return low
-
-
 def cholesky_pivots(a: np.ndarray) -> dict[int, int]:
     """First bad pivot of each matrix of a stack (g, k, k) that fails to
     factor, keyed by its position in the stack.
@@ -88,23 +85,29 @@ def cholesky_pivots(a: np.ndarray) -> dict[int, int]:
 def spd_solve_stack(a: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, dict]:
     """Solve a[i] x[i] = rhs[i] for a stack (g, k, k) of same-order matrices.
 
-    Returns ``(x, failed)`` with ``failed`` from ``cholesky_pivots``; the
-    rows of x whose matrix fails are zero.  numpy solves a stack one matrix
-    at a time, so each solution is bit for bit the solution of its matrix
-    alone, whatever else the stack holds.
+    ``rhs`` stacks one right-hand side per matrix, a vector (g, k) or a
+    matrix (g, k, r).  Returns ``(x, failed)`` with ``failed`` from
+    ``cholesky_pivots``; the solutions of the matrices that fail are zero.
+    numpy solves a stack one matrix at a time, so each solution is bit for
+    bit the solution of its matrix alone, whatever else the stack holds.
     """
+    vectors = rhs.ndim == a.ndim - 1
+    if vectors:
+        rhs = rhs[..., None]
     failed = cholesky_pivots(a)
     if not failed:
-        return np.linalg.solve(a, rhs[..., None])[..., 0], failed
-    x = np.zeros(rhs.shape)
-    ok = np.ones(len(a), dtype=bool)
-    ok[list(failed)] = False
-    if ok.any():
-        x[ok] = np.linalg.solve(a[ok], rhs[ok][..., None])[..., 0]
-    return x, failed
+        x = np.linalg.solve(a, rhs)
+    else:
+        x = np.zeros(rhs.shape)
+        ok = np.ones(len(a), dtype=bool)
+        ok[list(failed)] = False
+        if ok.any():
+            x[ok] = np.linalg.solve(a[ok], rhs[ok])
+    return (x[..., 0] if vectors else x), failed
 
 
 def spd_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a x = rhs for one matrix; raises on the first bad pivot."""
     x, failed = spd_solve_stack(a[None], rhs[None])
     if failed:
         raise SingularMatrixError(pivot=failed[0])
@@ -112,6 +115,6 @@ def spd_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def spd_invert(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric matrix, the solve against the identity."""
     check_symmetric(a)
-    cholesky_factor(a)
-    return np.linalg.inv(a)
+    return spd_solve(a, np.eye(len(a)))

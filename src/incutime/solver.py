@@ -49,7 +49,8 @@ of one with the matrix's own counts; bootstrap and Fisher-averaging
 replicates are larger batches, whose members give 0 to the rows they did
 not draw.  Every stacked product, solve and factorization runs one member
 at a time inside numpy, so a member's arithmetic is that of its batch of
-one, and a member that fails is dropped without touching the others.
+one, and a member that fails leaves the batch, at the top of the next
+outer iteration, without touching the others.
 """
 
 from __future__ import annotations
@@ -445,7 +446,7 @@ def armijo_search(p0, p_target, weights: WeightMatrix, counts, n, terms, grad, b
     resolution = _RESOLUTION * np.maximum(1.0, np.abs(base))
     alpha = np.ones(len(p0))
     stalled = np.zeros(len(p0), dtype=bool)
-    trial = p0 + delta
+    p = p0 + delta
     bound = base + ARMIJO_C * slope
     # where the predicted decrease is below the floating point resolution of
     # the criterion, no backtracking test can verify it; the full step is
@@ -453,51 +454,31 @@ def armijo_search(p0, p_target, weights: WeightMatrix, counts, n, terms, grad, b
     # tried again as an ordinary trial if it does
     unverifiable = ARMIJO_C * np.abs(slope) <= resolution
     if np.count_nonzero(unverifiable):
-        trial[unverifiable] = p_target[unverifiable]
+        p[unverifiable] = p_target[unverifiable]
         bound[unverifiable] = base[unverifiable] + resolution[unverifiable]
-    trial_terms, trial_values = _trial(trial, weights, counts, n)
-    accepted = trial_values <= bound
-    # the rejected rows backtrack from p0, a rejected unverifiable step
-    # first as an ordinary trial of length 1; the accepted iterates are
-    # gathered into p only once some but not all rows have one
-    step = alpha
-    rows = np.arange(len(p0))
-    searching = [p0, delta, base, slope, counts, n]
-    p = None
-    while True:
-        done = np.count_nonzero(accepted)
-        if done == rows.size and p is None:
-            return trial, step, trial_terms, trial_values, stalled
-        if done:
-            if p is None:
-                p, terms, values = p0.copy(), terms.copy(), base.copy()
-            p[rows[accepted]] = trial[accepted]
-            terms[rows[accepted]] = trial_terms[accepted]
-            values[rows[accepted]] = trial_values[accepted]
-            alpha[rows[accepted]] = step[accepted]
-            if done == rows.size:
-                return p, alpha, terms, values, stalled
-            kept = ~accepted
-            rows, step, unverifiable, *searching = (
-                a[kept] for a in (rows, step, unverifiable, *searching)
-            )
-        step = np.where(unverifiable, 1.0, step * ARMIJO_SHRINK)
-        unverifiable = np.zeros(rows.size, dtype=bool)
+    p_terms, values = _trial(p, weights, counts, n)
+    rows = np.flatnonzero(~(values <= bound))
+    if not rows.size:
+        # the common case: every row takes its first trial, and no array
+        # is copied or gathered
+        return p, alpha, p_terms, values, stalled
+    # the rejected rows go back to p0 in the returned arrays and backtrack
+    # from there, a rejected unverifiable step first as an ordinary trial
+    # of length 1
+    p[rows], p_terms[rows], values[rows] = p0[rows], terms[rows], base[rows]
+    step = np.where(unverifiable[rows], 1.0, ARMIJO_SHRINK)
+    while rows.size:
+        trial = p0[rows] + step[:, None] * delta[rows]
+        trial_terms, trial_values = _trial(trial, weights, counts[rows], n[rows])
+        accepted = trial_values <= base[rows] + ARMIJO_C * step * slope[rows]
+        done = rows[accepted]
+        p[done], p_terms[done] = trial[accepted], trial_terms[accepted]
+        values[done], alpha[done] = trial_values[accepted], step[accepted]
+        rows, step = rows[~accepted], step[~accepted] * ARMIJO_SHRINK
         gave_up = step < 1e-15
-        if np.count_nonzero(gave_up):
-            if p is None:
-                p, terms, values = p0.copy(), terms.copy(), base.copy()
-            stalled[rows[gave_up]] = True
-            if np.count_nonzero(gave_up) == rows.size:
-                return p, alpha, terms, values, stalled
-            kept = ~gave_up
-            rows, step, unverifiable, *searching = (
-                a[kept] for a in (rows, step, unverifiable, *searching)
-            )
-        start, direction, level, rate, drawn, total = searching
-        trial = start + step[:, None] * direction
-        trial_terms, trial_values = _trial(trial, weights, drawn, total)
-        accepted = trial_values <= level + ARMIJO_C * step * rate
+        stalled[rows[gave_up]] = True
+        rows, step = rows[~gave_up], step[~gave_up]
+    return p, alpha, p_terms, values, stalled
 
 
 def _kept_columns(dense: np.ndarray, start: np.ndarray | None) -> np.ndarray:
@@ -565,6 +546,12 @@ def _minimize_batch(
     run on the ``_kept_columns`` of the batch, and their targets get zero
     mass on the other days; everything else runs on the full grid.
 
+    A replicate leaves the batch only at the top of an outer iteration:
+    once certified, or when its inner pass or line search failed in the
+    iteration before.  A failed inner pass gets the replicate's iterate as
+    its target, so the line search takes a zero step, and a stalled line
+    search keeps the iterate.
+
     Returns ``(masses, errors, history)``: the certified masses (B, m);
     for each replicate the IncutimeError that ended its fit (its row of
     masses is then meaningless), or None; and the per-iteration record
@@ -599,13 +586,15 @@ def _minimize_batch(
     min_grad, comp = _residuals(p, grad)
     value = _criteria(p, terms, counts, n)
     supports = [start_support] * ids.size
+    failed = np.zeros(ids.size, dtype=bool)
     iteration = 0
     while True:
-        keep = np.flatnonzero((min_grad < -config.tol) | (comp > config.tol))
-        if keep.size < ids.size:
-            certified = np.ones(ids.size, dtype=bool)
-            certified[keep] = False
-            masses[ids[certified]] = p[certified]
+        # the one place where replicates leave the batch: those certified,
+        # and those that failed in the previous iteration
+        leaving = failed | ~((min_grad < -config.tol) | (comp > config.tol))
+        if np.count_nonzero(leaving):
+            masses[ids[leaving]] = p[leaving]
+            keep = np.flatnonzero(~leaving)
             if not keep.size:
                 break
             ids, p, terms, counts, n, grad, value = (
@@ -627,31 +616,20 @@ def _minimize_batch(
         del model  # B Gram matrices; the next ones are built without them
         targets = np.zeros((len(kept_targets), m))
         targets[:, kept] = kept_targets
-        if any(inner_errors):
-            for r, error in zip(ids, inner_errors):
-                errors[r] = error
-            keep = np.flatnonzero([error is None for error in inner_errors])
-            ids, p, terms, counts, n, grad, value, targets = (
-                a[keep] for a in (ids, p, terms, counts, n, grad, value, targets)
-            )
-            supports = [supports[i] for i in keep]
-            if not ids.size:
-                break
-        start_p = p
+        # a failed inner pass targets the current iterate: a zero step
+        failed = np.array([error is not None for error in inner_errors])
+        for i in np.flatnonzero(failed):
+            errors[ids[i]] = inner_errors[i]
+            targets[i] = p[i]
         p, _, terms, value, stalled = armijo_search(
             p, targets, weights, counts, n, terms, grad, value
         )
-        if np.count_nonzero(stalled):
-            for i in np.flatnonzero(stalled):
-                errors[ids[i]] = NonConvergenceError(
-                    "line search stalled before reaching the certificate tolerance",
-                    trace=_trace(history, ids[i], start_p[i]),
-                )
-            keep = np.flatnonzero(~stalled)
-            ids, p, terms, counts, n, value = (
-                a[keep] for a in (ids, p, terms, counts, n, value)
+        for i in np.flatnonzero(stalled & ~failed):
+            errors[ids[i]] = NonConvergenceError(
+                "line search stalled before reaching the certificate tolerance",
+                trace=_trace(history, ids[i], p[i]),
             )
-            supports = [supports[i] for i in keep]
+        failed |= stalled
         grad = _gradients(terms, counts, n, dense)
         min_grad, comp = _residuals(p, grad)
         history.append((ids, value, min_grad, comp, np.count_nonzero(p > 0.0, axis=1)))

@@ -31,6 +31,16 @@ from incutime.solver import (
 TRUNCEXP = TruthSpec(family="truncexp", a=6.0, m1=15)
 
 
+def replicate_results(*args):
+    """``refit_replicates``'s batches as one (counts, masses) per replicate,
+    None where the refit failed."""
+    return [
+        (row, probs) if good else None
+        for counts, masses, ok in refit_replicates(*args)
+        for row, probs, good in zip(counts, masses, ok)
+    ]
+
+
 def test_resample_is_deterministic_per_replicate():
     data = draw_singly(50, TRUNCEXP, ExposureSpec(m2=15), seed=81)
     assert resample(data, 5, 3) == resample(data, 5, 3)
@@ -158,7 +168,7 @@ def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
     config = SolverConfig()
     _, point_trace = fit_weights(W, config)
     p_hat = point_trace.final_masses
-    replicates = refit_replicates(W, 3, 4, config, p_hat)
+    replicates = replicate_results(W, 3, 4, config, p_hat)
     for k, (counts, masses) in enumerate(replicates):
         assert np.array_equal(counts, _replicate_counts(W, 3, k))
         alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
@@ -187,7 +197,7 @@ def test_batched_replicates_across_the_batch_cap_are_fits_of_their_resamples(dra
     _, point_trace = fit_weights(W, config)
     p_hat = point_trace.final_masses
     b = BATCH_CAP + 44
-    replicates = list(refit_replicates(W, 5, b, config, p_hat))
+    replicates = replicate_results(W, 5, b, config, p_hat)
     assert len(replicates) == b
     for k, (_, masses) in enumerate(replicates):
         drawn = build_weight_matrix(resample(data, 5, k), grid)
@@ -213,7 +223,7 @@ def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
     config = SolverConfig()
     mass, _ = fit_weights(W, config)
     start = mass.as_vector(W.grid)
-    unforced = list(refit_replicates(W, 7, 12, config, start))
+    unforced = replicate_results(W, 7, 12, config, start)
     inner_pass = solver_module._inner_pass
     models = []
 
@@ -227,7 +237,7 @@ def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
         return (yield from inner_pass(model, r, *args))
 
     monkeypatch.setattr(solver_module, "_inner_pass", second_pass_of_replicate_3_stalls)
-    forced = list(refit_replicates(W, 7, 12, config, start))
+    forced = replicate_results(W, 7, 12, config, start)
     assert len(models) > 2
     assert forced[3] is None and unforced[3] is not None
     for k in range(12):

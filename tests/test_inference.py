@@ -140,8 +140,11 @@ def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
     mass, _ = fit_npmle(data, grid)
     p_hat = mass.as_vector(grid)
     config = SolverConfig()
-    results = list(bootstrap_module.refit_replicates(weights, 65, 20, config, p_hat))
-    assert None not in results
+    batches = list(bootstrap_module.refit_replicates(weights, 65, 20, config, p_hat))
+    assert all(ok.all() for _, _, ok in batches)
+    results = [
+        pair for counts, refits, _ in batches for pair in zip(counts, refits)
+    ]
     expected = None
     for counts, masses in results:
         inverse = spd_invert(observed_fisher(weights, masses, mass.support, counts))
@@ -152,10 +155,17 @@ def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
     one_row[0] = weights.n
     with pytest.raises(SingularMatrixError):
         spd_invert(observed_fisher(weights, p_hat, mass.support, one_row))
-    monkeypatch.setattr(bootstrap_module, "BATCH_CAP", 8)
+
+    def batches_of_8(replicates):
+        for first in range(0, len(replicates), 8):
+            counts, refits = zip(*replicates[first : first + 8])
+            yield np.array(counts), np.array(refits), np.ones(len(counts), bool)
+
     for replicates in (results, [*results[:10], (one_row, p_hat), *results[10:]]):
         monkeypatch.setattr(
-            bootstrap_module, "refit_replicates", lambda *args, r=replicates: iter(r)
+            bootstrap_module,
+            "refit_replicates",
+            lambda *args, r=replicates: batches_of_8(r),
         )
         averaged, skipped = averaged_inverse_information(
             weights, config, p_hat, b=len(replicates), seed=65

@@ -4,7 +4,6 @@ import pytest
 from incutime import SingularMatrixError
 from incutime.linalg import (
     check_symmetric,
-    cholesky_factor,
     cholesky_pivots,
     spd_invert,
     spd_solve,
@@ -32,20 +31,16 @@ def test_spd_solve_random_system_residual():
     assert np.linalg.norm(a @ x - rhs) <= 1e-9
 
 
-def test_cholesky_factor_reconstructs():
+def test_cholesky_pivots_pass_an_spd_matrix():
     rng = np.random.default_rng(12)
     b = rng.normal(size=(6, 6))
     a = b.T @ b + 0.5 * np.eye(6)
-    L = cholesky_factor(a)
-    assert np.allclose(np.tril(L), L)
-    assert np.allclose(L @ L.T, a, atol=1e-10)
+    assert cholesky_pivots(a[None]) == {}
 
 
-def test_cholesky_factor_reports_failing_pivot():
+def test_cholesky_pivots_report_failing_pivot():
     a = np.array([[1.0, 2.0], [2.0, 1.0]])  # indefinite; second pivot fails
-    with pytest.raises(SingularMatrixError) as err:
-        cholesky_factor(a)
-    assert err.value.pivot == 1
+    assert cholesky_pivots(a[None]) == {0: 1}
 
 
 def test_spd_invert_diagonal():
@@ -57,6 +52,16 @@ def test_spd_invert_round_trip():
     b = rng.normal(size=(10, 10))
     a = b.T @ b + np.eye(10)
     assert np.allclose(a @ spd_invert(a), np.eye(10), atol=1e-8)
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_spd_invert_is_numpy_inv_bit_for_bit(order):
+    # the inverse is the solve against the identity, the same LAPACK call
+    # np.linalg.inv makes
+    for seed in range(3):
+        b = np.random.default_rng([seed, order]).normal(size=(order + 2, order))
+        a = b.T @ b
+        assert np.array_equal(spd_invert(a), np.linalg.inv(a))
 
 
 def test_check_symmetric():
@@ -105,11 +110,10 @@ def _spd(seed, order):
 def test_stacked_cholesky_names_only_the_failing_matrix(singular):
     stack = np.array([_spd(1, 3), _spd(2, 3), singular, _spd(3, 3)])
     rhs = np.random.default_rng(4).normal(size=(4, 3))
-    with pytest.raises(SingularMatrixError) as err:
-        cholesky_factor(singular)
-    assert cholesky_pivots(stack) == {2: err.value.pivot}
+    pivot = cholesky_pivots(singular[None])[0]
+    assert cholesky_pivots(stack) == {2: pivot}
     x, failed = spd_solve_stack(stack, rhs)
-    assert failed == {2: err.value.pivot}
+    assert failed == {2: pivot}
     assert not x[2].any()
     for i in (0, 1, 3):
         assert np.array_equal(x[i], spd_solve(stack[i], rhs[i]))

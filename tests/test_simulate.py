@@ -94,6 +94,14 @@ def test_draw_incubation_matches_cdf():
     assert ks < 1.628 / np.sqrt(xs.size)
 
 
+@pytest.mark.parametrize("truth", [WEIBULL, TRUNCEXP], ids=["weibull", "truncexp"])
+def test_draw_incubation_is_the_truth_quantile_of_its_uniform_draw(truth):
+    u = np.random.default_rng(52).random(10_000)
+    draws = draw_incubation(u.size, truth, np.random.default_rng(52))
+    assert ((draws >= 0.0) & (draws <= truth.m1)).all()
+    np.testing.assert_allclose(truth_cdf(draws, truth), u, rtol=0, atol=1e-12)
+
+
 def test_singly_record_assembly_from_forced_draws():
     e, s = singly_records_from_draws([3], [0.4], [2.3])
     assert e[0] == 3 and s[0] == 3  # ceil(2.7)

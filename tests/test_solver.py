@@ -230,6 +230,78 @@ def test_armijo_backtracks_past_infeasible_target():
     assert np.array_equal(terms, W.dense @ p) and value == phi(p, W)
 
 
+def test_armijo_batch_rows_are_their_batches_of_one():
+    # rows accepted at once, backtracking past an infeasible target, with a
+    # zero direction (unverifiable, accepted), and along a direction the
+    # gradient at the optimum cannot see (unverifiable, rejected, then
+    # backtracking); each row's result is that of its batch of one
+    W = two_block_weights()
+    optimum = np.array([0.75, 0.25])
+    p0 = np.array([[0.5, 0.5], [0.5, 0.5], [0.6, 0.4], optimum])
+    targets = np.array([optimum, [1.2, -0.2], [0.6, 0.4], [0.95, 0.05]])
+    counts = np.tile(W.counts, (4, 1))
+    n = counts.sum(axis=1)
+    terms = np.array([W.dense @ p for p in p0])
+    grads = np.array([phi_gradient(p, W) for p in p0])
+    values = np.array([phi(p, W) for p in p0])
+    args = (p0, targets, W, counts, n, terms, grads, values)
+    batch = armijo_search(*args)
+    assert batch[1][1] < 1.0 and batch[1][3] > 0.0
+    for r in range(4):
+        one = [a if a is W else a[r : r + 1] for a in args]
+        for got, alone in zip(batch, armijo_search(*one)):
+            assert np.array_equal(got[r : r + 1], alone)
+
+
+def test_stalled_line_search_ends_only_its_replicate(monkeypatch):
+    # replicate 2's trials all fail from its second line search on; it ends
+    # with a stall, its trace holds its first iteration, and the others'
+    # masses are those of the run in which it does not stall
+    import incutime.solver as solver_module
+    from incutime.bootstrap import _replicate_counts
+
+    truth = TruthSpec(family="weibull", a=WEIBULL_A, b=WEIBULL_B, m1=15)
+    data = draw_singly(300, truth, ExposureSpec(m2=15), 41)
+    W = build_weight_matrix(data, candidate_grid(data, m1=15))
+    config = SolverConfig()
+    start, _ = solver_module._minimize(W, config)
+    counts = np.array([_replicate_counts(W, 9, k) for k in range(5)], float)
+    unforced, errors, history = solver_module._minimize_batch(W, counts, config, start)
+    assert errors == [None] * 5
+    assert len(solver_module._trace(history, 2, None).rows) >= 2
+    # the iterate replicate 2 holds after its first iteration
+    _, capped, _ = solver_module._minimize_batch(
+        W, counts, SolverConfig(max_outer=1), start
+    )
+    first_iterate = capped[2].trace.final_masses
+
+    searches = []
+    search = solver_module.armijo_search
+    trial = solver_module._trial
+
+    def counted(*args):
+        searches.append(len(args[0]))
+        return search(*args)
+
+    def failing_for_replicate_2(p, weights, drawn, n):
+        trial_terms, values = trial(p, weights, drawn, n)
+        if len(searches) >= 2:
+            values[(drawn == counts[2]).all(axis=1)] = np.inf
+        return trial_terms, values
+
+    monkeypatch.setattr(solver_module, "armijo_search", counted)
+    monkeypatch.setattr(solver_module, "_trial", failing_for_replicate_2)
+    forced, errors, _ = solver_module._minimize_batch(W, counts, config, start)
+    assert isinstance(errors[2], NonConvergenceError)
+    assert "line search stalled" in str(errors[2])
+    expected = solver_module._trace(history, 2, None).rows[:1]
+    assert errors[2].trace.rows == expected
+    assert np.array_equal(errors[2].trace.final_masses, first_iterate)
+    for k in (0, 1, 3, 4):
+        assert errors[k] is None
+        assert np.array_equal(forced[k], unforced[k])
+
+
 def test_infeasible_line_search_trial_looks_up_no_record(monkeypatch):
     # a full step of this fit's line search leaves a record with no mass;
     # the trial is rejected without scanning the records for its index.  No
