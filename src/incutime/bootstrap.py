@@ -160,7 +160,7 @@ def bootstrap_ci(
         weights, config.seed, config.b, solver_config, mass.as_vector(grid)
     )
     for _, probs, ok in replicates:
-        failed += np.count_nonzero(~ok)
+        failed += int(np.count_nonzero(~ok))
         rep_cdf = np.minimum(np.cumsum(probs[ok], axis=1), 1.0)
         rep_values = np.where(below > 0, rep_cdf[:, np.maximum(below - 1, 0)], 0.0)
         deltas.append(rep_values - estimates)

@@ -164,7 +164,7 @@ def averaged_inverse_information(
     skipped = 0
     replicates = refit_replicates(weights, seed, b, solver_config, masses)
     for counts, refits, ok in replicates:
-        skipped += np.count_nonzero(~ok)
+        skipped += int(np.count_nonzero(~ok))
         batch = []
         for drawn, refit in zip(counts[ok], refits[ok]):
             try:

@@ -44,13 +44,19 @@ gradients and line search trials runs on the full grid, still holds there.
 One engine, ``_minimize_batch``, fits a batch of count vectors over the rows
 of one matrix in lockstep: every uncertified member advances through each
 outer iteration together, and its terms, criterion, gradient, certificate
-and line search trials are stacked products.  The point fit is the batch
-of one with the matrix's own counts; bootstrap and Fisher-averaging
-replicates are larger batches, whose members give 0 to the rows they did
-not draw.  Every stacked product, solve and factorization runs one member
-at a time inside numpy, so a member's arithmetic is that of its batch of
-one, and a member that fails leaves the batch, at the top of the next
-outer iteration, without touching the others.
+and line search trials are stacked products.  The members' working
+supports are one boolean mask, a row per member over the kept columns,
+from the start support to the end of the fit.  Each round of the inner
+passes (``_inner_loop``) solves the supports that changed, one stacked
+solve per support size, then moves every member's support by one drop or
+add, or ends its pass, with a few array operations over the mask.  The
+point fit is the batch of one with the matrix's own counts; bootstrap and
+Fisher-averaging replicates are larger batches, whose members give 0 to
+the rows they did not draw.  Every stacked product, solve and
+factorization runs one member at a time inside numpy, so a member's
+arithmetic is that of its batch of one, and a member that fails leaves
+the batch, at the top of the next outer iteration, without touching the
+others.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ from .errors import (
     IncutimeError,
     InfeasiblePointError,
     NonConvergenceError,
-    SingularMatrixError,
 )
 from .linalg import spd_solve, spd_solve_stack
 from .model import Dataset, Grid, MassFunction
@@ -260,23 +265,10 @@ class _QuadraticModel:
         return np.matmul(at_support, masses[:, :, None])[..., 0] - self.b[reps]
 
 
-def _solve_independent(support: list[int]):
-    """Model solve on the support, dropping dependent columns from it in place.
-
-    A column the factorization finds dependent on the columns before it
-    leaves ``support``, and the rest is solved again.
-    """
-    while True:
-        try:
-            return (yield support)
-        except SingularMatrixError as exc:
-            support.pop(exc.pivot)
-
-
 def _exchange_position(
-    model: _QuadraticModel, r: int, support: list[int], masses: np.ndarray, added: int
+    model: _QuadraticModel, r: int, support: np.ndarray, masses: np.ndarray, added: int
 ) -> int:
-    """Position of the support point that a dependent added point replaces.
+    """Position in ``support`` of the point that a dependent added point replaces.
 
     The added column is a combination c of the support columns, so moving
     the masses along e_added - c leaves every model term alone and changes
@@ -285,9 +277,8 @@ def _exchange_position(
     mass reaches zero: the exchange step of active-set nonnegative least
     squares in the degenerate case (Lawson & Hanson, 1974, ch. 23).
     """
-    idx = np.asarray(support, dtype=int)
     gram = model.gram[r]
-    c = spd_solve(gram[np.ix_(idx, idx)], gram[idx, added])
+    c = spd_solve(gram[np.ix_(support, support)], gram[support, added])
     rising = np.flatnonzero(c > 0.0)
     if not rising.size:
         raise NonConvergenceError(
@@ -296,121 +287,104 @@ def _exchange_position(
     return int(rising[np.argmin(masses[rising] / c[rising])])
 
 
-def _inner_pass(
-    model: _QuadraticModel, r: int, start_support: list[int], m: int, inner_tol: float
-):
-    """Replicate r's minimization of its quadratic model over the cone.
+def _inner_loop(model: _QuadraticModel, on: np.ndarray, inner_tol: float):
+    """Every replicate's minimization of its quadratic model over the cone.
 
-    Alternates between dropping the most negative mass point and adding the
-    off-support point with the most negative model gradient, re-solving the
-    normal equations after every change.  ``start_support`` holds sorted,
-    distinct indices of the model's days: the start's support on a fit's
-    first pass (empty from the uniform start), the previous pass's support
-    after that.
+    Row r of the boolean mask ``on`` (B, K) is replicate r's start support
+    over the model's K days: the start's support on a fit's first pass
+    (empty from the uniform start), the previous pass's support after that.
+    A pass alternates between dropping the most negative mass point and
+    adding the off-support point with the most negative model gradient,
+    re-solving the normal equations after every change, until no mass is
+    negative and no model gradient is below ``-inner_tol``.
 
     The working support stays linearly independent, as the active-set rules
-    need: a column found dependent on the support leaves it, so the gradient
-    test can bring it back later, and a dependent added point takes the
-    place of the support point its exchange step picks.
+    need: a column the factorization finds dependent on the columns before
+    it leaves the support, so the gradient test can bring it back later,
+    and a dependent added point takes the place of the support point its
+    exchange step picks.
 
-    A generator, so that ``_inner_loop`` can serve the passes of a batch
-    together: it yields each support it needs the model solved on, and is
-    sent the solution with the model gradient there.  A solve whose normal
-    matrix does not factor is thrown back as SingularMatrixError.  Returns
-    the target masses over the model's m days and the final support.
+    The passes advance in rounds.  A round first solves every support that
+    changed: the supports of one size share one stacked solve and one
+    stacked gradient.  Grouping by size rather than padding the supports to
+    one order keeps each replicate's arithmetic that of a batch of one:
+    LAPACK blocks a padded matrix differently, which moves the last bits.
+    Then every replicate whose solve succeeded takes its next step, a drop,
+    an add or the end of its pass, all in the same few array operations.
+
+    Returns ``(targets, on, errors)``: the target masses (B, K), zero off
+    the final supports ``on``, and for each replicate the IncutimeError
+    that ended its pass, or None.  A failed pass leaves the others alone.
     """
-    support = list(start_support)
-    masses, grad = yield from _solve_independent(support)
-    just_added: int | None = None
-    for _ in range(10 * m + 100):
-        while masses.size and masses.min() < 0.0:
-            worst = int(np.argmin(masses))
-            if support[worst] == just_added:
-                # the freshly added point cannot be the one removed in exact
-                # arithmetic (the active-set exchange argument for nonnegative
-                # least squares), so reaching here means rounding took over
-                raise NonConvergenceError(
-                    "inner loop attempted to remove the point it just added"
-                )
-            support.pop(worst)
-            masses, grad = yield from _solve_independent(support)
-        if support:
-            grad[support] = np.inf
-        candidate = int(np.argmin(grad))
-        if grad[candidate] >= -inner_tol:
-            break
-        grown = list(support)
-        grown.insert(int(np.searchsorted(grown, candidate)), candidate)
-        try:
-            masses, grad = yield grown
-        except SingularMatrixError:
-            out = _exchange_position(model, r, support, masses, candidate)
-            grown.remove(support[out])
-            masses, grad = yield from _solve_independent(grown)
-        support = grown
-        just_added = candidate
-    else:
-        raise NonConvergenceError("quadratic subproblem did not settle on a support")
-    full = np.zeros(m)
-    full[support] = masses
-    return full, support
-
-
-def _serve(model: _QuadraticModel, requests: dict) -> dict:
-    """Results of one round of inner-pass requests, keyed by replicate.
-
-    The solves on supports of one size share one stacked solve, and the
-    model gradients at their solutions one stacked product.  Grouping by
-    size rather than padding the supports to one order keeps each
-    replicate's arithmetic that of a batch of one: LAPACK blocks a padded
-    matrix differently, which moves the last bits.
-    """
-    groups: dict = {}
-    for r, support in requests.items():
-        groups.setdefault(len(support), []).append(r)
-    out = {}
-    for k, reps in groups.items():
-        rows = np.array(reps)
-        supports = np.array([requests[r] for r in reps], dtype=np.intp)
-        supports = supports.reshape(len(reps), k)
-        solutions, failed = model.solve(rows, supports)
-        grads = model.gradient(rows, supports, solutions)
-        out.update(zip(reps, zip(solutions, grads)))
-        for i, pivot in failed.items():
-            out[reps[i]] = SingularMatrixError(pivot=pivot)
-    return out
-
-
-def _inner_loop(model: _QuadraticModel, start_supports: list, m: int, inner_tol: float):
-    """Every replicate's inner pass, advanced in lockstep.
-
-    Returns ``(targets, supports, errors)``: the target masses (B, m), the
-    final supports, and for each replicate the IncutimeError that ended its
-    pass, or None.  A failed pass leaves the other replicates' passes alone.
-    """
-    count = len(start_supports)
-    targets = np.zeros((count, m))
-    supports: list = [None] * count
+    count, days = on.shape
+    on = on.copy()
+    masses = np.zeros((count, days))
     errors: list = [None] * count
-    passes = {
-        r: _inner_pass(model, r, start, m, inner_tol)
-        for r, start in enumerate(start_supports)
-    }
-    results: dict = dict.fromkeys(passes)
-    while results:
-        requests = {}
-        for r, result in results.items():
-            try:
-                if isinstance(result, SingularMatrixError):
-                    requests[r] = passes[r].throw(result)
-                else:
-                    requests[r] = passes[r].send(result)
-            except StopIteration as done:
-                targets[r], supports[r] = done.value
-            except IncutimeError as exc:
-                errors[r] = exc
-        results = _serve(model, requests) if requests else {}
-    return targets, supports, errors
+    pending = np.ones(count, dtype=bool)  # the support changed since its last solve
+    grew = np.zeros(count, dtype=bool)  # that change added a point
+    added = np.full(count, -1)  # the point each pass added last
+    adds = np.zeros(count, dtype=int)  # the points each pass has added
+    cap = 10 * days + 100
+    changed = np.arange(count)
+    while changed.size:
+        sizes = on[changed].sum(axis=1)
+        for k in np.bincount(sizes).nonzero()[0]:
+            rows = changed[sizes == k]
+            held = on[rows]
+            cols = held.nonzero()[1].reshape(rows.size, k)
+            solutions, failed = model.solve(rows, cols)
+            for i, pivot in failed.items():
+                # a dependent column leaves the support, which is solved
+                # again next round; a just grown one loses the point its
+                # exchange step picks instead
+                r, out = rows[i], cols[i, pivot]
+                if grew[r]:
+                    before = cols[i][cols[i] != added[r]]
+                    try:
+                        position = _exchange_position(
+                            model, r, before, masses[r, before], added[r]
+                        )
+                    except IncutimeError as exc:
+                        errors[r], pending[r] = exc, False
+                        continue
+                    out, grew[r] = before[position], False
+                on[r, out] = False
+            if failed:
+                solved = np.ones(rows.size, dtype=bool)
+                solved[list(failed)] = False
+                rows, held, cols = rows[solved], held[solved], cols[solved]
+                solutions = solutions[solved]
+            grads = model.gradient(rows, cols, solutions)
+            x = np.zeros(held.shape)
+            x[held] = solutions.ravel()
+            masses[rows] = x
+            grads[held] = np.inf
+            at = np.arange(rows.size)
+            worst, best = x.argmin(axis=1), grads.argmin(axis=1)
+            negative = x[at, worst] < 0.0
+            # a NaN gradient does not settle a pass
+            move = negative | ~(grads[at, best] >= -inner_tol)
+            capped = adds[rows] == cap
+            refused = negative & (worst == added[rows])
+            for i in (capped | refused).nonzero()[0]:
+                # the freshly added point cannot be the one removed in exact
+                # arithmetic (the active-set exchange argument for
+                # nonnegative least squares), so a refusal means rounding
+                # took over
+                errors[rows[i]] = NonConvergenceError(
+                    "quadratic subproblem did not settle on a support"
+                    if capped[i]
+                    else "inner loop attempted to remove the point it just added"
+                )
+                move[i] = False
+            grow = move & ~negative
+            on[rows[move], np.where(negative, worst, best)[move]] = grow[move]
+            added[rows[grow]] = best[grow]
+            adds[rows] += grow
+            grew[rows] = grow
+            pending[rows] = move
+        changed = pending.nonzero()[0]
+    return masses, on, errors
 
 
 def _trial(p: np.ndarray, weights: WeightMatrix, counts, n):
@@ -540,7 +514,8 @@ def _minimize_batch(
     every sum.  Every replicate starts at ``start``, the uniform vector
     when omitted, and its drawn rows' likelihood terms must be positive
     there.  The first inner pass starts from the support of ``start`` when
-    given, and from an empty support otherwise.  Each outer iteration
+    given, and from an empty support otherwise; each later pass starts from
+    the support mask the pass before it ended on.  Each outer iteration
     builds the quadratic models, runs the inner passes and line searches
     of every uncertified replicate together.  The models and inner passes
     run on the ``_kept_columns`` of the batch, and their targets get zero
@@ -565,10 +540,10 @@ def _minimize_batch(
     reduced = dense[:, kept]
     if start is None:
         first = np.full(m, 1.0 / m)
-        start_support: list[int] = []
+        start_support = np.zeros(kept.size, dtype=bool)
     else:
         first = np.asarray(start, dtype=float)
-        start_support = np.flatnonzero(first[kept] > 0.0).tolist()
+        start_support = first[kept] > 0.0
     masses = np.tile(first, (len(counts), 1))
     errors: list = [None] * len(counts)
     history: list = []
@@ -585,7 +560,7 @@ def _minimize_batch(
     grad = _gradients(terms, counts, n, dense)
     min_grad, comp = _residuals(p, grad)
     value = _criteria(p, terms, counts, n)
-    supports = [start_support] * ids.size
+    supports = np.tile(start_support, (ids.size, 1))
     failed = np.zeros(ids.size, dtype=bool)
     iteration = 0
     while True:
@@ -597,10 +572,9 @@ def _minimize_batch(
             keep = np.flatnonzero(~leaving)
             if not keep.size:
                 break
-            ids, p, terms, counts, n, grad, value = (
-                a[keep] for a in (ids, p, terms, counts, n, grad, value)
+            ids, p, terms, counts, n, grad, value, supports = (
+                a[keep] for a in (ids, p, terms, counts, n, grad, value, supports)
             )
-            supports = [supports[i] for i in keep]
         iteration += 1
         if iteration > config.max_outer:
             for i, r in enumerate(ids):
@@ -610,9 +584,7 @@ def _minimize_batch(
                 )
             break
         model = _QuadraticModel(reduced, terms, counts, n)
-        kept_targets, supports, inner_errors = _inner_loop(
-            model, supports, kept.size, INNER_TOL
-        )
+        kept_targets, supports, inner_errors = _inner_loop(model, supports, INNER_TOL)
         del model  # B Gram matrices; the next ones are built without them
         targets = np.zeros((len(kept_targets), m))
         targets[:, kept] = kept_targets

@@ -22,6 +22,7 @@ from incutime.bootstrap import (
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 from incutime.solver import (
     SolverConfig,
+    _inner_loop,
     _minimize,
     _minimize_batch,
     fenchel_residuals,
@@ -111,10 +112,10 @@ def test_bootstrap_internal_fit_matches_supplied_mass():
     assert bootstrap_ci(weights, config) == bootstrap_ci(weights, config, mass=mass)
 
 
-def stall(model, r, *args):
-    """An inner pass that fails its replicate on its first step."""
-    raise NonConvergenceError("forced failure")
-    yield
+def stall(model, on, inner_tol):
+    """An inner loop whose every pass fails its replicate."""
+    targets, on, errors = _inner_loop(model, on, inner_tol)
+    return targets, on, [NonConvergenceError("forced failure")] * len(errors)
 
 
 def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
@@ -123,7 +124,7 @@ def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
     data = draw_singly(100, TRUNCEXP, ExposureSpec(m2=15), seed=85)
     grid = candidate_grid(data, m1=15)
     mass, _ = fit_npmle(data, grid)
-    monkeypatch.setattr(solver_module, "_inner_pass", stall)
+    monkeypatch.setattr(solver_module, "_inner_loop", stall)
     with pytest.raises(BootstrapFailureError) as err:
         bootstrap_ci(
             build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0), mass=mass
@@ -224,19 +225,18 @@ def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
     mass, _ = fit_weights(W, config)
     start = mass.as_vector(W.grid)
     unforced = replicate_results(W, 7, 12, config, start)
-    inner_pass = solver_module._inner_pass
     models = []
 
-    def second_pass_of_replicate_3_stalls(model, r, *args):
-        if model not in models:
-            models.append(model)
-        if len(models) == 2 and r == 3:
-            # every replicate is still fitting, so model row r is replicate r
+    def second_pass_of_replicate_3_stalls(model, on, inner_tol):
+        models.append(model)
+        targets, on, errors = _inner_loop(model, on, inner_tol)
+        if len(models) == 2:
+            # every replicate is still fitting, so model row 3 is replicate 3
             assert len(model.b) == 12
-            raise NonConvergenceError("forced failure")
-        return (yield from inner_pass(model, r, *args))
+            errors[3] = NonConvergenceError("forced failure")
+        return targets, on, errors
 
-    monkeypatch.setattr(solver_module, "_inner_pass", second_pass_of_replicate_3_stalls)
+    monkeypatch.setattr(solver_module, "_inner_loop", second_pass_of_replicate_3_stalls)
     forced = replicate_results(W, 7, 12, config, start)
     assert len(models) > 2
     assert forced[3] is None and unforced[3] is not None

@@ -563,23 +563,23 @@ def test_coverage_smoke(tmp_path):
 def test_exit_code_fisher_averaging_failures(tmp_path, monkeypatch):
     import incutime.solver as solver_module
 
-    inner_pass = solver_module._inner_pass
+    inner_loop = solver_module._inner_loop
     attempted = set()
 
-    def first_three_stall(model, r, *args):
+    def first_three_stall(model, on, inner_tol):
+        targets, on, errors = inner_loop(model, on, inner_tol)
         # the batch of 20 replicates, not the point fit's batch of one; its
         # first model has a row per replicate, in replicate order
         if len(model.b) == 20:
-            attempted.add(r)
-            if r < 3:
-                # 3 of 20 is above the 10 percent the bootstrap also tolerates
-                raise NonConvergenceError("forced failure")
-        return (yield from inner_pass(model, r, *args))
+            attempted.update(range(20))
+            # 3 of 20 is above the 10 percent the bootstrap also tolerates
+            errors[:3] = [NonConvergenceError("forced failure")] * 3
+        return targets, on, errors
 
     data_path = str(tmp_path / "d.csv")
     main(["simulate", "--mode", "double", "--n", "200", "--seed", "5",
           "--out", data_path])
-    monkeypatch.setattr(solver_module, "_inner_pass", first_three_stall)
+    monkeypatch.setattr(solver_module, "_inner_loop", first_three_stall)
     code = main(["ci", "--mode", "double", "--data", data_path, "--method",
                  "wald", "--fisher-averaged", "--b", "20", "--m1", "15",
                  "--out", str(tmp_path / "ci.csv")])

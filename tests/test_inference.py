@@ -22,10 +22,10 @@ from incutime import (
     validate_dataset,
     wald_intervals,
 )
-from incutime.bootstrap import resample
+from incutime.bootstrap import BootstrapConfig, bootstrap_ci, resample
 from incutime.inference import averaged_inverse_information
 from incutime.linalg import spd_invert
-from incutime.solver import _minimize
+from incutime.solver import _inner_loop, _minimize
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 
 
@@ -302,20 +302,33 @@ def test_fisher_result_rejects_single_point_fit():
 def test_fisher_averaging_fails_loudly_when_refits_collapse(monkeypatch):
     import incutime.solver as solver_module
 
-    def always_stalls(model, r, *args):
-        raise NonConvergenceError("forced failure")
-        yield
+    def always_stalls(model, on, inner_tol):
+        targets, on, errors = _inner_loop(model, on, inner_tol)
+        return targets, on, [NonConvergenceError("forced failure")] * len(errors)
 
     data = draw_doubly(200, TruthSpec(family="truncexp", a=6.0, m1=15),
                        ExposureSpec(m2=15), seed=73)
     grid = candidate_grid(data, m1=15)
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
-    monkeypatch.setattr(solver_module, "_inner_pass", always_stalls)
+    monkeypatch.setattr(solver_module, "_inner_loop", always_stalls)
     with pytest.raises(BootstrapFailureError) as err:
         fisher_result(weights, mass, m1=15, averaging=20)
     assert err.value.failed == 20
     assert err.value.total == 20
+
+
+def test_replicate_failure_counts_are_python_ints():
+    # the counts reach JSON reports, which take no numpy integer
+    data = draw_doubly(200, TruthSpec(family="truncexp", a=6.0, m1=15),
+                       ExposureSpec(m2=15), seed=73)
+    grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
+    mass, _ = fit_npmle(data, grid)
+    result = fisher_result(weights, mass, m1=15, averaging=10)
+    assert type(result.replicates_skipped) is int
+    table = bootstrap_ci(weights, BootstrapConfig(b=10, seed=0), mass=mass)
+    assert type(table.metadata["failed"]) is int
 
 
 def test_singular_information_falls_back_to_pseudo_inverse():

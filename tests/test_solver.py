@@ -58,12 +58,20 @@ def model_solve(model, support):
     return solutions[0]
 
 
+def support_mask(supports, m):
+    """The (B, m) mask of B supports given as lists of days."""
+    on = np.zeros((len(supports), m), dtype=bool)
+    for r, support in enumerate(supports):
+        on[r, support] = True
+    return on
+
+
 def inner_loop(model, start_support, m, inner_tol):
     """The batch-of-one inner loop: raises what ends its pass."""
-    targets, supports, errors = _inner_loop(model, [start_support], m, inner_tol)
+    targets, on, errors = _inner_loop(model, support_mask([start_support], m), inner_tol)
     if errors[0] is not None:
         raise errors[0]
-    return targets[0], supports[0]
+    return targets[0], np.flatnonzero(on[0]).tolist()
 
 
 def line_search(p0, p_target, W):
@@ -187,7 +195,8 @@ def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch
         return solutions, failed
 
     monkeypatch.setattr(_QuadraticModel, "solve", recorded)
-    targets, supports, errors = _inner_loop(model, [[0, 1]] * 3, W.m, 1e-12)
+    targets, on, errors = _inner_loop(model, support_mask([[0, 1]] * 3, W.m), 1e-12)
+    supports = [np.flatnonzero(row).tolist() for row in on]
     assert failures == [(1, 1)]
     assert errors == [None] * 3
     assert supports == [[0, 1], [0], [0, 1]]
@@ -198,6 +207,88 @@ def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch
         )
         target, _ = inner_loop(alone, [0, 1], W.m, 1e-12)
         assert np.array_equal(targets[r], target)
+
+
+def test_batch_whose_passes_take_different_paths_matches_its_batches_of_one(
+    monkeypatch,
+):
+    # day 2's column is day 0's plus day 1's on rows 0 and 1.  Replicate 0
+    # draws those rows and starts on days 0 and 1: it adds day 2, finds it
+    # dependent and exchanges it for day 1, then drops day 0's negative
+    # mass.  Replicate 1 starts on all three days, drops day 2, which its
+    # rows make dependent on the others, then day 1's negative mass.
+    # Replicate 2 starts on its optimum and settles on its first solve.
+    # Replicate 3's model is set by hand: day 2's column is day 0's plus
+    # 1e-6 times day 1's, so the support {0, 2} its exchange step leaves is
+    # dependent at the pivot tolerance too; that solve drops day 2 at its
+    # pivot, and day 2's next add is exchanged for day 0.
+    dense = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+    counts = np.array(
+        [[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]]
+    )
+    terms = np.tile(dense @ np.array([0.5, 0.5, 0.0]), (4, 1))
+    near = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1e-6]])
+    starts = support_mask([[0, 1], [0, 1, 2], [0], [0, 1]], 3)
+
+    def model_of(reps):
+        model = _QuadraticModel(dense, terms[reps], counts[reps], counts[reps].sum(axis=1))
+        for i in np.flatnonzero(reps == 3):
+            model.gram[i], model.b[i] = near.T @ near, [0.5, 1e-13, 1.0]
+        return model
+
+    solve = _QuadraticModel.solve
+    solved, failures = [], []
+
+    def recorded(self, reps, supports):
+        solutions, failed = solve(self, reps, supports)
+        solved.extend((int(r), support.tolist()) for r, support in zip(reps, supports))
+        failures.extend((int(reps[i]), pivot) for i, pivot in failed.items())
+        return solutions, failed
+
+    monkeypatch.setattr(_QuadraticModel, "solve", recorded)
+    targets, on, errors = _inner_loop(model_of(np.arange(4)), starts, 1e-12)
+    paths = [[support for q, support in solved if q == r] for r in range(4)]
+    assert paths == [
+        [[0, 1], [0, 1, 2], [0, 2], [2]],
+        [[0, 1, 2], [0, 1], [0]],
+        [[0]],
+        [[0, 1], [0, 1, 2], [0, 2], [0], [0, 2], [2]],
+    ]
+    assert sorted(failures) == [(0, 2), (1, 2), (3, 1), (3, 1), (3, 2)]
+    assert errors == [None] * 4
+    assert [np.flatnonzero(row).tolist() for row in on] == [[2], [0], [0], [2]]
+    for r in range(4):
+        alone = model_of(np.array([r]))
+        target, on_alone, errors_alone = _inner_loop(alone, starts[r : r + 1], 1e-12)
+        assert errors_alone == [None]
+        assert np.array_equal(on[r], on_alone[0])
+        assert np.array_equal(targets[r], target[0])
+
+
+class CyclingModel(_QuadraticModel):
+    """On three days: the support {j} has a negative model gradient at day
+    j + 1 (mod 3), and the support {j, j + 1} a negative mass at day j, so
+    a pass adds and drops around the days without settling."""
+
+    def solve(self, reps, supports):
+        if supports.shape[1] != 2:
+            return np.ones(supports.shape), {}
+        low, high = supports[:, 0], supports[:, 1]
+        older = np.where(high == low + 1, low, high)
+        return np.where(supports == older[:, None], -1.0, 1.0), {}
+
+    def gradient(self, reps, supports, masses):
+        grad = np.ones((len(reps), 3))
+        if supports.shape[1] == 1:
+            grad[np.arange(len(reps)), (supports[:, 0] + 1) % 3] = -1.0
+        return grad
+
+
+def test_inner_loop_that_never_settles_is_a_typed_error():
+    W = WeightMatrix(dense=np.eye(3), grid=Grid(points=[1, 2, 3]))
+    model = point_model(W, np.full(3, 1.0 / 3.0), CyclingModel)
+    with pytest.raises(NonConvergenceError, match="did not settle on a support"):
+        inner_loop(model, [0], W.m, 1e-12)
 
 
 def test_armijo_zero_direction_returns_start():
@@ -465,11 +556,11 @@ def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate(
     inner_loop = solver_module._inner_loop
     passes = []
 
-    def emptied(model, start_supports, m, inner_tol):
+    def emptied(model, on, inner_tol):
         if not passes:
-            start_supports = [[]]
-        passes.append(list(start_supports[0]))
-        return inner_loop(model, start_supports, m, inner_tol)
+            on = np.zeros_like(on)
+        passes.append(np.flatnonzero(on[0]).tolist())
+        return inner_loop(model, on, inner_tol)
 
     monkeypatch.setattr(solver_module, "_inner_loop", emptied)
     masses, trace = solver_module._minimize(W, SolverConfig(), start=start)
