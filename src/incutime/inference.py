@@ -24,9 +24,9 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateFitError, SingularMatrixError
-from .linalg import check_symmetric, spd_invert, spd_solve_stack
+from .linalg import PairProducts, check_symmetric, spd_invert, spd_solve_stack
 from .model import DayCdf, MassFunction
-from .solver import SolverConfig
+from .solver import SolverConfig, _terms
 from .weights import WeightMatrix
 
 
@@ -91,10 +91,17 @@ def observed_fisher(
     and d_i = sum_t w_i(t) p_t its fitted probability under ``masses``,
     the fitted mass vector over the grid.  ``counts`` replaces the matrix's
     own counts with a replicate's count vector over its rows; the rows the
-    replicate did not draw drop out.
+    replicate did not draw drop out.  The batch of one of ``_informations``.
     """
     counts = weights.counts if counts is None else counts
-    return _information(weights, _centered_columns(weights, support), masses, counts)
+    products = PairProducts(_centered_columns(weights, support))
+    fisher, vanished = _informations(weights, products, masses[None], counts[None])
+    bad = vanished[0].nonzero()[0]
+    if bad.size:
+        raise DegenerateFitError(
+            f"record {weights.record_of(int(bad[0]))} has zero fitted probability"
+        )
+    return fisher[0]
 
 
 def _centered_columns(weights: WeightMatrix, support) -> np.ndarray:
@@ -109,17 +116,22 @@ def _centered_columns(weights: WeightMatrix, support) -> np.ndarray:
     return at_support[:, :-1] - at_support[:, [-1]]
 
 
-def _information(weights: WeightMatrix, centered, masses, counts) -> np.ndarray:
-    """``observed_fisher`` from the support's ``_centered_columns``."""
-    denom = weights.dense @ masses
+def _informations(
+    weights: WeightMatrix, products: PairProducts, masses, counts
+) -> tuple[np.ndarray, np.ndarray]:
+    """``observed_fisher`` of each row of ``masses`` and ``counts``.
+
+    ``products`` are the ``PairProducts`` of the support's
+    ``_centered_columns``.  Returns the matrices (B, l - 1, l - 1) and the
+    mask (B, rows) of the drawn rows with zero fitted probability; a
+    replicate with one has a meaningless matrix.
+    """
+    denom = _terms(masses, weights.dense)
     drawn = counts > 0.0
-    bad = np.flatnonzero((denom <= 0.0) & drawn)
-    if bad.size:
-        raise DegenerateFitError(
-            f"record {weights.record_of(int(bad[0]))} has zero fitted probability"
-        )
-    scaled = centered * (np.sqrt(counts) / np.where(drawn, denom, 1.0))[:, None]
-    return (scaled.T @ scaled) / counts.sum()
+    vanished = drawn & (denom <= 0.0)
+    fishers = products.grams(counts, np.where(drawn & ~vanished, denom, 1.0))
+    fishers /= counts.sum(axis=1)[:, None, None]
+    return fishers, vanished
 
 
 def averaged_inverse_information(
@@ -148,35 +160,34 @@ def averaged_inverse_information(
     count vector over the rows of the fit's weight matrix, so no dataset is
     copied and no weight is evaluated twice, and the engine refits them
     together, starting at ``masses`` with their support as the first
-    working set.  The matrices of each batch of refits the engine yields
-    are tested and inverted together, in one ``spd_solve_stack`` against
-    the identity, and each inverse is that of ``spd_invert`` on its matrix
-    alone, bit for bit.
+    working set.  The ``PairProducts`` of the support's centered columns
+    are built once, and the matrices of each batch of refits the engine
+    yields are formed together from them, then tested and inverted
+    together, in one ``spd_solve_stack`` against the identity.  Each matrix
+    is ``observed_fisher`` of its replicate alone, and each inverse that of
+    ``spd_invert`` on it, bit for bit.
     """
     from .bootstrap import check_replicate_failures, refit_replicates
 
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
-    centered = _centered_columns(weights, weights.grid.points[masses > 0.0])
-    identity = np.eye(centered.shape[1])
+    products = PairProducts(
+        _centered_columns(weights, weights.grid.points[masses > 0.0])
+    )
+    identity = np.eye(products.columns.shape[1])
     total = None
     used = 0
     skipped = 0
     replicates = refit_replicates(weights, seed, b, solver_config, masses)
     for counts, refits, ok in replicates:
-        skipped += int(np.count_nonzero(~ok))
-        batch = []
-        for drawn, refit in zip(counts[ok], refits[ok]):
-            try:
-                fisher = _information(weights, centered, refit, drawn)
-            except DegenerateFitError:
-                skipped += 1
-            else:
-                check_symmetric(fisher)
-                batch.append(fisher)
-        if not batch:
+        fishers, vanished = _informations(weights, products, refits[ok], counts[ok])
+        # a replicate with a drawn row at zero fitted probability degenerates
+        kept = ~vanished.any(axis=1)
+        skipped += int(np.count_nonzero(~ok)) + int(np.count_nonzero(~kept))
+        if not kept.any():
             continue
-        stack = np.array(batch)
+        stack = fishers[kept]
+        check_symmetric(stack)
         inverses, failed = spd_solve_stack(stack, np.broadcast_to(identity, stack.shape))
         skipped += len(failed)
         for i, inverse in enumerate(inverses):

@@ -14,6 +14,10 @@ matrices, one per replicate, at once, and the single solve and the inverse
 are its stacks of one.  An inverse is the solve against the identity, the
 same LAPACK ``gesv`` call that ``np.linalg.inv`` makes, so it is bit for bit
 ``np.linalg.inv`` of the matrix.
+
+``PairProducts`` forms the matrices that these solves take, the weighted
+Gram matrices sum_i s_i w_i w_i' of the quadratic models and of the
+observed information, a stack at a time.
 """
 
 from __future__ import annotations
@@ -23,15 +27,71 @@ import numpy as np
 from .errors import SingularMatrixError
 
 PIVOT_TOL = 1e-10  # least accepted ratio of a squared pivot to its diagonal entry
+# Most bytes of one ``PairProducts`` table.  Past it, each matrix is formed
+# from the scaled columns instead, so a wide grid costs no more memory.
+TABLE_BYTES = 4 * 2**20
 
 
 def check_symmetric(a: np.ndarray, tol: float = 1e-12) -> None:
+    """Raise ValueError unless a, a matrix or a stack (..., k, k), is symmetric."""
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if a.size and float(np.abs(a - a.T).max()) > tol * scale:
+    if not a.size:
+        return
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    gap = np.abs(a - np.swapaxes(a, -2, -1)).max(axis=(-2, -1))
+    if (gap > tol * scale).any():
         raise ValueError("matrix is not symmetric")
+
+
+class PairProducts:
+    """Weighted Gram matrices of the columns of one matrix w (rows, K).
+
+    ``grams(counts, terms)`` returns, for each row of counts c and positive
+    denominators d (B, rows), the matrix sum_i c_i w_i(k) w_i(l) / d_i^2
+    (B, K, K).  When it fits in ``TABLE_BYTES``, the table T of the row
+    products w_i(k) w_i(l), one row per pair k <= l, is built once, and
+    each matrix is the one matrix-vector product T (c / d^2), whose values
+    fill both triangles.  Otherwise each matrix is that of the rows scaled
+    by sqrt(c_i) / d_i, one replicate at a time, so that no (B, rows, K)
+    array is formed.  The choice depends on the shape of w alone, and
+    numpy runs a stacked product one replicate at a time, so a replicate's
+    matrix is that of its batch of one, bit for bit; every matrix is
+    exactly symmetric.
+    """
+
+    def __init__(self, columns: np.ndarray):
+        rows, k = columns.shape
+        self.columns = columns
+        self.table = None
+        if 4 * rows * k * (k + 1) > TABLE_BYTES:  # 8 bytes per product
+            return
+        # block j holds the rows of the pairs (j, l), l = j, ..., K - 1, so the
+        # rows run in the order of np.triu_indices(K)
+        by_column = np.ascontiguousarray(columns.T)
+        self.table = np.empty((k * (k + 1) // 2, rows))
+        first = 0
+        for j in range(k):
+            np.multiply(by_column[j], by_column[j:], out=self.table[first : first + k - j])
+            first += k - j
+        self._upper = np.triu_indices(k)
+
+    def grams(self, counts: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        k = self.columns.shape[1]
+        grams = np.empty((len(counts), k, k))
+        if self.table is None:
+            for r, (c, d) in enumerate(zip(counts, terms)):
+                scaled = self.columns * (np.sqrt(c) / d)[:, None]
+                grams[r] = scaled.T @ scaled
+            return grams
+        scales = counts / terms
+        scales /= terms
+        upper = np.matmul(self.table, scales[:, :, None])[..., 0]
+        low, high = self._upper
+        grams[:, low, high] = upper
+        grams[:, high, low] = upper
+        return grams
 
 
 def _factor(a: np.ndarray) -> np.ndarray | None:

@@ -52,7 +52,12 @@ solve per support size, then moves every member's support by one drop or
 add, or ends its pass, with a few array operations over the mask.  The
 point fit is the batch of one with the matrix's own counts; bootstrap and
 Fisher-averaging replicates are larger batches, whose members give 0 to
-the rows they did not draw.  Every stacked product, solve and
+the rows they did not draw.  The kept columns stay fixed for a fit, so
+the table of their row products (``PairProducts``) is built once, and
+each model's Gram matrix is one matrix-vector product against it; where
+the table would pass ``linalg.TABLE_BYTES`` (a wide grid with most days
+kept), each Gram matrix is formed from the scaled columns instead, one
+member at a time.  Every stacked product, solve and
 factorization runs one member at a time inside numpy, so a member's
 arithmetic is that of its batch of one, and a member that fails leaves
 the batch, at the top of the next outer iteration, without touching the
@@ -70,7 +75,7 @@ from .errors import (
     InfeasiblePointError,
     NonConvergenceError,
 )
-from .linalg import spd_solve, spd_solve_stack
+from .linalg import PairProducts, spd_solve, spd_solve_stack
 from .model import Dataset, Grid, MassFunction
 from .weights import WeightMatrix, build_weight_matrix
 
@@ -226,22 +231,18 @@ class _QuadraticModel:
     over the cone is a projected Newton step.  The model's days are the
     columns of ``dense``, the batch's kept columns of the weight matrix.
     ``gram`` stacks the G and ``b`` the b of the replicates, one per row of
-    ``terms``.
+    ``terms``: every G comes from ``products``, the ``PairProducts`` of
+    ``dense`` that a fit builds once for all its models (built here when
+    omitted), and the b are one stacked product.
     """
 
-    def __init__(self, dense: np.ndarray, terms, counts, n):
-        # rows scaled by sqrt(count) / d_i, so that the count-weighted sums
-        # are plain products and each Gram matrix is exactly symmetric; one
-        # replicate at a time, so that no (B, rows, m) array is formed
-        m = dense.shape[1]
-        self._columns = np.arange(m)[:, None]
-        self.b = np.empty((len(counts), m))
-        self.gram = np.empty((len(counts), m, m))
-        for r, (drawn, d) in enumerate(zip(counts, terms)):
-            root = np.sqrt(drawn)
-            scaled = dense * (root / _drawn_terms(d))[:, None]
-            self.b[r] = 2.0 * (root @ scaled) / n[r] - 1.0
-            self.gram[r] = (scaled.T @ scaled) / n[r]
+    def __init__(self, dense: np.ndarray, terms, counts, n, products=None):
+        d = _drawn_terms(terms)
+        self.gram = (products or PairProducts(dense)).grams(counts, d)
+        self.gram /= n[:, None, None]
+        ratios = counts / d
+        self.b = 2.0 * np.matmul(dense.T, ratios[:, :, None])[..., 0] / n[:, None] - 1.0
+        self._columns = np.arange(dense.shape[1])[:, None]
 
     def solve(self, reps: np.ndarray, supports: np.ndarray):
         """Unconstrained normal-equation solves restricted to supports.
@@ -431,7 +432,7 @@ def armijo_search(p0, p_target, weights: WeightMatrix, counts, n, terms, grad, b
         p[unverifiable] = p_target[unverifiable]
         bound[unverifiable] = base[unverifiable] + resolution[unverifiable]
     p_terms, values = _trial(p, weights, counts, n)
-    rows = np.flatnonzero(~(values <= bound))
+    rows = (~(values <= bound)).nonzero()[0]
     if not rows.size:
         # the common case: every row takes its first trial, and no array
         # is copied or gathered
@@ -538,6 +539,7 @@ def _minimize_batch(
     m = weights.m
     kept = _kept_columns(dense, start)
     reduced = dense[:, kept]
+    products = PairProducts(reduced)  # the kept columns stay fixed for the fit
     if start is None:
         first = np.full(m, 1.0 / m)
         start_support = np.zeros(kept.size, dtype=bool)
@@ -550,8 +552,8 @@ def _minimize_batch(
 
     p = masses.copy()
     terms = _terms(p, dense)
-    for r in np.flatnonzero(((terms <= 0.0) & (counts > 0.0)).any(axis=1)):
-        row = np.flatnonzero((terms[r] <= 0.0) & (counts[r] > 0.0))[0]
+    for r in ((terms <= 0.0) & (counts > 0.0)).any(axis=1).nonzero()[0]:
+        row = ((terms[r] <= 0.0) & (counts[r] > 0.0)).nonzero()[0][0]
         errors[r] = InfeasiblePointError(weights.record_of(int(row)))
     ids = np.array([r for r, error in enumerate(errors) if error is None], np.intp)
     if ids.size < len(counts):
@@ -569,7 +571,7 @@ def _minimize_batch(
         leaving = failed | ~((min_grad < -config.tol) | (comp > config.tol))
         if np.count_nonzero(leaving):
             masses[ids[leaving]] = p[leaving]
-            keep = np.flatnonzero(~leaving)
+            keep = (~leaving).nonzero()[0]
             if not keep.size:
                 break
             ids, p, terms, counts, n, grad, value, supports = (
@@ -583,20 +585,20 @@ def _minimize_batch(
                     trace=_trace(history, r, p[i]),
                 )
             break
-        model = _QuadraticModel(reduced, terms, counts, n)
+        model = _QuadraticModel(reduced, terms, counts, n, products)
         kept_targets, supports, inner_errors = _inner_loop(model, supports, INNER_TOL)
         del model  # B Gram matrices; the next ones are built without them
         targets = np.zeros((len(kept_targets), m))
         targets[:, kept] = kept_targets
         # a failed inner pass targets the current iterate: a zero step
         failed = np.array([error is not None for error in inner_errors])
-        for i in np.flatnonzero(failed):
+        for i in failed.nonzero()[0]:
             errors[ids[i]] = inner_errors[i]
             targets[i] = p[i]
         p, _, terms, value, stalled = armijo_search(
             p, targets, weights, counts, n, terms, grad, value
         )
-        for i in np.flatnonzero(stalled & ~failed):
+        for i in (stalled & ~failed).nonzero()[0]:
             errors[ids[i]] = NonConvergenceError(
                 "line search stalled before reaching the certificate tolerance",
                 trace=_trace(history, ids[i], p[i]),
@@ -604,7 +606,7 @@ def _minimize_batch(
         failed |= stalled
         grad = _gradients(terms, counts, n, dense)
         min_grad, comp = _residuals(p, grad)
-        history.append((ids, value, min_grad, comp, np.count_nonzero(p > 0.0, axis=1)))
+        history.append((ids, value, min_grad, comp, (p > 0.0).sum(axis=1)))
     return masses, errors, history
 
 

@@ -184,6 +184,27 @@ def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
         )
 
 
+@pytest.mark.parametrize("bound", [None, 0], ids=["table", "loop"])
+def test_replicate_refits_are_their_batches_of_one_on_both_gram_paths(monkeypatch, bound):
+    # the models' Gram matrices come from the fit's table of row products,
+    # or, with no room for the table, from the scaled columns; on either
+    # path a replicate's refit is its batch of one, bit for bit
+    import incutime.linalg as linalg_module
+
+    data = draw_doubly(300, TRUNCEXP, ExposureSpec(m2=15), seed=92)
+    W = build_weight_matrix(data, candidate_grid(data, m1=15))
+    config = SolverConfig()
+    if bound is not None:
+        monkeypatch.setattr(linalg_module, "TABLE_BYTES", bound)
+    assert (linalg_module.PairProducts(W.dense).table is None) == (bound == 0)
+    _, point_trace = fit_weights(W, config)
+    p_hat = point_trace.final_masses
+    for counts, masses in replicate_results(W, 9, 6, config, p_hat):
+        alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
+        assert errors == [None]
+        assert np.array_equal(masses, alone[0])
+
+
 @pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
 def test_batched_replicates_across_the_batch_cap_are_fits_of_their_resamples(draw):
     # two batches run; every replicate meets the certificate on its drawn

@@ -174,6 +174,47 @@ def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
         assert np.array_equal(averaged, expected)
 
 
+@pytest.mark.parametrize("bound", [None, 0], ids=["table", "loop"])
+def test_fisher_replicate_at_zero_fitted_probability_is_skipped(monkeypatch, bound):
+    # a replicate whose refit gives one of its drawn rows zero probability
+    # has no information matrix; it is skipped and counted, and the others'
+    # mean is bit for bit that of their own inverses, on either way of
+    # forming the matrices
+    import incutime.bootstrap as bootstrap_module
+    import incutime.linalg as linalg_module
+
+    if bound is not None:
+        monkeypatch.setattr(linalg_module, "TABLE_BYTES", bound)
+    truth = TruthSpec(family="truncexp", a=6.0, m1=15)
+    data = draw_doubly(400, truth, ExposureSpec(m2=15), seed=75)
+    grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
+    mass, _ = fit_npmle(data, grid)
+    p_hat = mass.as_vector(grid)
+    config = SolverConfig()
+    counts, refits, ok = next(bootstrap_module.refit_replicates(weights, 66, 10, config, p_hat))
+    assert ok.all()
+    expected = sum(
+        spd_invert(observed_fisher(weights, masses, mass.support, drawn))
+        for drawn, masses in zip(counts, refits)
+    ) / len(counts)
+    # all the mass on the last support day: some drawn row has none there
+    point = np.zeros(weights.m)
+    point[p_hat.nonzero()[0][-1]] = 1.0
+    with pytest.raises(DegenerateFitError, match="zero fitted probability"):
+        observed_fisher(weights, point, mass.support, counts[2])
+    counts = np.insert(counts, 2, counts[2], axis=0)
+    refits = np.insert(refits, 2, point, axis=0)
+    monkeypatch.setattr(
+        bootstrap_module,
+        "refit_replicates",
+        lambda *args: iter([(counts, refits, np.ones(len(counts), bool))]),
+    )
+    averaged, skipped = averaged_inverse_information(weights, config, p_hat, b=11, seed=66)
+    assert skipped == 1
+    assert np.array_equal(averaged, expected)
+
+
 def test_cdf_covariance_identity_information():
     cov = cdf_covariance(np.eye(2))
     assert np.allclose(cov, [[1.0, 1.0], [1.0, 2.0]], atol=1e-12)

@@ -1,6 +1,10 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import incutime.linalg as linalg_module
 from incutime import (
     Dataset,
     Grid,
@@ -16,13 +20,16 @@ from incutime.simulate import (
     WEIBULL_B,
     ExposureSpec,
     TruthSpec,
+    draw_doubly,
     draw_singly,
 )
+from incutime.linalg import PairProducts
 from incutime.solver import (
     _inner_loop,
     _QuadraticModel,
     armijo_search,
     fenchel_residuals,
+    fit_weights,
     phi,
     phi_gradient,
 )
@@ -156,6 +163,48 @@ def test_outer_iterations_converge_to_multinomial_proportions():
     masses, trace = _minimize(W, config)
     assert trace.converged
     assert np.allclose(masses, [0.75, 0.25], atol=1e-9)
+
+
+def replicate_model_inputs():
+    """A double-mode weight matrix and five replicates' terms, counts and
+    record counts on it; each replicate leaves some rows undrawn."""
+    truth = TruthSpec(family="truncexp", a=6.0, m1=15)
+    data = draw_doubly(300, truth, ExposureSpec(m2=15), seed=91)
+    W = build_weight_matrix(data, candidate_grid(data, m1=15))
+    rng = np.random.default_rng(5)
+    counts = rng.multinomial(W.n, W.counts / W.n, size=5).astype(float)
+    assert (counts == 0.0).any(axis=1).all()
+    terms = rng.dirichlet(np.ones(W.m), size=5) @ W.dense.T
+    return W.dense, terms, counts, counts.sum(axis=1)
+
+
+def test_table_and_loop_models_agree(monkeypatch):
+    # the table of row products and the per-replicate scaled products give
+    # the same models to rounding, and every Gram matrix exactly symmetric
+    dense, terms, counts, n = replicate_model_inputs()
+    assert PairProducts(dense).table is not None
+    table = _QuadraticModel(dense, terms, counts, n)
+    monkeypatch.setattr(linalg_module, "TABLE_BYTES", 0)
+    assert PairProducts(dense).table is None
+    loop = _QuadraticModel(dense, terms, counts, n)
+    for model in (table, loop):
+        assert np.array_equal(model.gram, model.gram.transpose(0, 2, 1))
+    np.testing.assert_allclose(table.gram, loop.gram, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(table.b, loop.b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("bound", [None, 0], ids=["table", "loop"])
+def test_batch_member_model_is_its_batch_of_one(monkeypatch, bound):
+    dense, terms, counts, n = replicate_model_inputs()
+    if bound is not None:
+        monkeypatch.setattr(linalg_module, "TABLE_BYTES", bound)
+    assert (PairProducts(dense).table is None) == (bound == 0)
+    batch = _QuadraticModel(dense, terms, counts, n)
+    for r in range(len(counts)):
+        one = slice(r, r + 1)
+        alone = _QuadraticModel(dense, terms[one], counts[one], n[one])
+        assert np.array_equal(batch.gram[r], alone.gram[0])
+        assert np.array_equal(batch.b[r], alone.b[0])
 
 
 class AddThenRefuseModel(_QuadraticModel):
@@ -654,3 +703,28 @@ def test_fit_on_a_2000_day_grid_certifies():
     assert min_grad >= -1e-10 and comp <= 1e-10
     assert mass.support[-1] == 2000
     assert mass.probs[-1] == pytest.approx(1 / 400, abs=1e-12)
+
+
+def test_wide_grid_fit_certifies_in_bounded_time_and_memory():
+    # one-day exposures with onsets uniform over 250 days leave almost every
+    # day undominated, so the quadratic models run on about 250 columns.
+    # A table of all their pair products would take about 57 MB here; the
+    # fit forms its Gram matrices from the scaled columns instead
+    rng = np.random.default_rng(0)
+    m, n = 250, 1000
+    data = validate_dataset(Dataset.singly(np.ones(n, dtype=int), rng.integers(1, m + 1, n)))
+    W = build_weight_matrix(data, candidate_grid(data))
+    assert W.m == m
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        _, trace = fit_weights(W)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.converged
+    min_grad, comp = fenchel_residuals(trace.final_masses, W)
+    assert min_grad >= -1e-10 and comp <= 1e-10
+    assert elapsed < 60.0
+    assert peak < 16 * 2**20
