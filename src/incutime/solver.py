@@ -14,13 +14,14 @@ is certified by the two cone optimality conditions
 both enforced at ``SolverConfig.tol``.  Each outer iteration minimizes the
 local quadratic expansion of phi over the cone by alternately growing and
 shrinking a candidate support set, then takes a backtracking (Armijo) step
-toward the subproblem solution.  A fit starts at the uniform vector with
-an empty first support, so its first inner pass admits the day with the
-most negative model gradient first; a day no record can explain has
-gradient +1 and is never admitted.  A bootstrap or Fisher-averaging
-replicate refit starts at the point fit's masses, which give every
-replicate record a positive term, and its first inner pass starts from
-their support, which is usually close to the replicate's own.  Later passes
+toward the subproblem solution.  Every fit's first inner pass starts on
+its start's positive days among the kept columns (below).  A point fit
+starts at the uniform vector, so that pass begins on every kept day and
+drops the days it does not need; every weight row has a positive entry
+(``WeightMatrix`` checks it), so each record's term is positive there.  A
+bootstrap or Fisher-averaging replicate refit starts at the point fit's
+masses, which give every record a positive term, and so begins on their
+support, which is usually close to the replicate's own.  Later passes
 start from the previous support.  The working support is kept linearly
 independent, so a support column that a replicate's records make dependent
 on the others (or zero) leaves it instead of stalling the active-set rules.
@@ -131,11 +132,7 @@ class IterationTrace:
 
 
 def _positive_terms(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    """sum_j p_j w_i(j) per pattern; raises if any of them vanishes.
-
-    The functions below that take ``terms`` take these terms of their point
-    p from a caller that already holds them, and compute them when omitted.
-    """
+    """sum_j p_j w_i(j) per pattern; raises if any of them vanishes."""
     terms = weights.dense @ p
     bad = np.flatnonzero(terms <= 0.0)
     if bad.size:
@@ -194,27 +191,21 @@ def _point_counts(weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
     return weights.counts[None], np.array([float(weights.n)])
 
 
-def phi(p: np.ndarray, weights: WeightMatrix, terms=None) -> float:
+def phi(p: np.ndarray, weights: WeightMatrix) -> float:
     """Criterion value; raises if any likelihood term vanishes."""
-    if terms is None:
-        terms = _positive_terms(p, weights)
+    terms = _positive_terms(p, weights)
     return float(_criteria(p[None], terms[None], *_point_counts(weights))[0])
 
 
-def phi_gradient(p: np.ndarray, weights: WeightMatrix, terms=None) -> np.ndarray:
+def phi_gradient(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
     """dphi/dp_j = 1 - (1/n) sum_i w_i(j) / (sum_k p_k w_i(k))."""
-    if terms is None:
-        terms = _positive_terms(p, weights)
+    terms = _positive_terms(p, weights)
     return _gradients(terms[None], *_point_counts(weights), weights.dense)[0]
 
 
-def fenchel_residuals(
-    p: np.ndarray, weights: WeightMatrix, terms=None, grad=None
-) -> tuple[float, float]:
-    """(min over the grid of dphi/dp_j, |<p, grad phi>|); ``grad`` is p's gradient."""
-    if grad is None:
-        grad = phi_gradient(p, weights, terms)
-    min_grad, comp = _residuals(p[None], grad[None])
+def fenchel_residuals(p: np.ndarray, weights: WeightMatrix) -> tuple[float, float]:
+    """(min over the grid of dphi/dp_j, |<p, grad phi>|)."""
+    min_grad, comp = _residuals(p[None], phi_gradient(p, weights)[None])
     return float(min_grad[0]), float(comp[0])
 
 
@@ -225,24 +216,21 @@ class _QuadraticModel:
     With d_i = sum_j p0_j w_i(j) a replicate's model is
     Q(p) = (1/2) p'Gp - b'p where
     G_kl = (1/n) sum_i c_i w_i(k) w_i(l) / d_i^2 and
-    b_k  = (2/n) sum_i c_i w_i(k) / d_i - 1,
+    b_k  = (2/n) sum_i c_i w_i(k) / d_i - 1 = 1 - 2 dphi/dp_k(p0),
     summed over the rows i with the replicate's counts c_i.
     G is the exact Hessian and grad Q(p0) = grad phi(p0), so minimizing Q
     over the cone is a projected Newton step.  The model's days are the
-    columns of ``dense``, the batch's kept columns of the weight matrix.
-    ``gram`` stacks the G and ``b`` the b of the replicates, one per row of
-    ``terms``: every G comes from ``products``, the ``PairProducts`` of
-    ``dense`` that a fit builds once for all its models (built here when
-    omitted), and the b are one stacked product.
+    columns of ``products``, the ``PairProducts`` of the batch's kept
+    columns of the weight matrix, which a fit builds once for all its
+    models.  ``gram`` stacks the G and ``b`` the b of the replicates, one
+    per row of ``terms``; ``grad`` holds p0's gradients on the model's days.
     """
 
-    def __init__(self, dense: np.ndarray, terms, counts, n, products=None):
-        d = _drawn_terms(terms)
-        self.gram = (products or PairProducts(dense)).grams(counts, d)
+    def __init__(self, products: PairProducts, terms, counts, n, grad):
+        self.gram = products.grams(counts, _drawn_terms(terms))
         self.gram /= n[:, None, None]
-        ratios = counts / d
-        self.b = 2.0 * np.matmul(dense.T, ratios[:, :, None])[..., 0] / n[:, None] - 1.0
-        self._columns = np.arange(dense.shape[1])[:, None]
+        self.b = 1.0 - 2.0 * grad
+        self._columns = np.arange(grad.shape[1])[:, None]
 
     def solve(self, reps: np.ndarray, supports: np.ndarray):
         """Unconstrained normal-equation solves restricted to supports.
@@ -292,8 +280,9 @@ def _inner_loop(model: _QuadraticModel, on: np.ndarray, inner_tol: float):
     """Every replicate's minimization of its quadratic model over the cone.
 
     Row r of the boolean mask ``on`` (B, K) is replicate r's start support
-    over the model's K days: the start's support on a fit's first pass
-    (empty from the uniform start), the previous pass's support after that.
+    over the model's K days: the start's positive days on a fit's first
+    pass (every day from the uniform start), the previous pass's support
+    after that.
     A pass alternates between dropping the most negative mass point and
     adding the off-support point with the most negative model gradient,
     re-solving the normal equations after every change, until no mass is
@@ -513,14 +502,15 @@ def _minimize_batch(
     Replicate r reweights the rows of ``weights`` by ``counts[r]``, its
     count of records per row; a row it did not draw (count 0) drops out of
     every sum.  Every replicate starts at ``start``, the uniform vector
-    when omitted, and its drawn rows' likelihood terms must be positive
-    there.  The first inner pass starts from the support of ``start`` when
-    given, and from an empty support otherwise; each later pass starts from
-    the support mask the pass before it ended on.  Each outer iteration
-    builds the quadratic models, runs the inner passes and line searches
-    of every uncertified replicate together.  The models and inner passes
-    run on the ``_kept_columns`` of the batch, and their targets get zero
-    mass on the other days; everything else runs on the full grid.
+    when omitted, which gives every row a positive likelihood term; a given
+    ``start`` must do so too, as ``refit_replicates`` checks.  The first
+    inner pass starts on the start's positive days among the kept columns,
+    and each later pass on the support mask the pass before it ended on.
+    Each outer iteration builds the quadratic models, runs the inner passes
+    and line searches of every uncertified replicate together.  The models
+    and inner passes run on the ``_kept_columns`` of the batch, and their
+    targets get zero mass on the other days; everything else runs on the
+    full grid.
 
     A replicate leaves the batch only at the top of an outer iteration:
     once certified, or when its inner pass or line search failed in the
@@ -538,26 +528,16 @@ def _minimize_batch(
     dense = weights.dense
     m = weights.m
     kept = _kept_columns(dense, start)
-    reduced = dense[:, kept]
-    products = PairProducts(reduced)  # the kept columns stay fixed for the fit
-    if start is None:
-        first = np.full(m, 1.0 / m)
-        start_support = np.zeros(kept.size, dtype=bool)
-    else:
-        first = np.asarray(start, dtype=float)
-        start_support = first[kept] > 0.0
+    products = PairProducts(dense[:, kept])  # the kept columns stay fixed for the fit
+    first = np.full(m, 1.0 / m) if start is None else np.asarray(start, dtype=float)
+    start_support = first[kept] > 0.0
     masses = np.tile(first, (len(counts), 1))
     errors: list = [None] * len(counts)
     history: list = []
 
+    ids = np.arange(len(counts))
     p = masses.copy()
     terms = _terms(p, dense)
-    for r in ((terms <= 0.0) & (counts > 0.0)).any(axis=1).nonzero()[0]:
-        row = ((terms[r] <= 0.0) & (counts[r] > 0.0)).nonzero()[0][0]
-        errors[r] = InfeasiblePointError(weights.record_of(int(row)))
-    ids = np.array([r for r, error in enumerate(errors) if error is None], np.intp)
-    if ids.size < len(counts):
-        p, terms, counts = p[ids], terms[ids], counts[ids]
     n = counts.sum(axis=1)
     grad = _gradients(terms, counts, n, dense)
     min_grad, comp = _residuals(p, grad)
@@ -585,7 +565,7 @@ def _minimize_batch(
                     trace=_trace(history, r, p[i]),
                 )
             break
-        model = _QuadraticModel(reduced, terms, counts, n, products)
+        model = _QuadraticModel(products, terms, counts, n, grad[:, kept])
         kept_targets, supports, inner_errors = _inner_loop(model, supports, INNER_TOL)
         del model  # B Gram matrices; the next ones are built without them
         targets = np.zeros((len(kept_targets), m))

@@ -81,6 +81,11 @@ class WeightMatrix:
     from per-record rows needs neither: counts default to ones and the
     record map lists the records row by row.
 
+    Every weight must be finite and nonnegative (ValueError otherwise), and
+    every row must have a positive one: InfeasibleRecordError names the
+    first record of a row without.  So the uniform masses give every row a
+    positive likelihood term, and a fit can start there.
+
     Rows touch only a handful of grid points, but at these sizes dense
     vectorized products beat sparse row iteration, so the dense block is the
     working representation.
@@ -102,6 +107,13 @@ class WeightMatrix:
             record_rows = np.asarray(self.record_rows)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "record_rows", record_rows)
+        dense = self.dense
+        # a NaN fails both comparisons
+        if not (dense.min(initial=0.0) >= 0.0 and dense.max(initial=0.0) < np.inf):
+            raise ValueError("weights must be finite and nonnegative")
+        filled = dense.any(axis=1)
+        if not filled.all():
+            raise InfeasibleRecordError(int(np.flatnonzero(~filled[record_rows])[0]))
 
     @property
     def n(self) -> int:
@@ -157,8 +169,9 @@ def _group_records(columns):
 def build_weight_matrix(data: Dataset, grid: Grid) -> WeightMatrix:
     """Evaluate the weights of every distinct record on the grid.
 
-    Every record must hit a positive weight; otherwise the first offending
-    record is reported.
+    Raises InfeasibleRecordError, from the ``WeightMatrix`` check, naming
+    the first record with zero weight at every grid point; all such records
+    share one merged row.
     """
     if data.mode == SINGLE:
         columns = (data.e, data.s)
@@ -172,9 +185,6 @@ def build_weight_matrix(data: Dataset, grid: Grid) -> WeightMatrix:
     else:
         e, s_l, s_r = (col[first] for col in columns)
         dense = window_weight(e[:, None], s_l[:, None], s_r[:, None], pts)
-    infeasible = ~(dense > 0.0).any(axis=1)
-    if infeasible.any():
-        raise InfeasibleRecordError(int(first[infeasible].min()))
     kept, merged = _merge_equal_rows(dense)
     if kept.size < dense.shape[0]:
         dense = dense[kept]

@@ -27,7 +27,7 @@ from incutime import (  # noqa: E402
     phi_gradient,
     validate_dataset,
 )
-from incutime.linalg import spd_invert, spd_solve  # noqa: E402
+from incutime.linalg import PairProducts, spd_invert, spd_solve  # noqa: E402
 from incutime.bootstrap import _replicate_counts, _replicate_indices  # noqa: E402
 from incutime.em import fit_em  # noqa: E402
 from incutime.solver import (  # noqa: E402
@@ -89,7 +89,11 @@ def test_count_weighted_sums_equal_per_record_sums(data, seed):
     assert phi(p, W) == pytest.approx(value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(phi_gradient(p, W), grad, rtol=1e-12, atol=1e-12)
     model = _QuadraticModel(
-        W.dense, (W.dense @ p)[None], W.counts[None], np.array([W.n])
+        PairProducts(W.dense),
+        (W.dense @ p)[None],
+        W.counts[None],
+        np.array([W.n]),
+        phi_gradient(p, W)[None],
     )
     np.testing.assert_allclose(model.gram[0], hessian, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(model.b[0], 1.0 - 2.0 * grad, rtol=1e-12, atol=1e-12)

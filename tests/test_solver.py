@@ -25,6 +25,7 @@ from incutime.simulate import (
 )
 from incutime.linalg import PairProducts
 from incutime.solver import (
+    _gradients,
     _inner_loop,
     _QuadraticModel,
     armijo_search,
@@ -56,7 +57,20 @@ def two_block_weights():
 
 def point_model(W, p, model=_QuadraticModel):
     """The quadratic model of W's own fit at p, a batch of one."""
-    return model(W.dense, (W.dense @ p)[None], W.counts[None], np.array([float(W.n)]))
+    return model(
+        PairProducts(W.dense),
+        (W.dense @ p)[None],
+        W.counts[None],
+        np.array([float(W.n)]),
+        phi_gradient(p, W)[None],
+    )
+
+
+def replicate_model(dense, terms, counts, n):
+    """The replicates' quadratic models at their terms, on every column."""
+    return _QuadraticModel(
+        PairProducts(dense), terms, counts, n, _gradients(terms, counts, n, dense)
+    )
 
 
 def model_solve(model, support):
@@ -183,10 +197,10 @@ def test_table_and_loop_models_agree(monkeypatch):
     # the same models to rounding, and every Gram matrix exactly symmetric
     dense, terms, counts, n = replicate_model_inputs()
     assert PairProducts(dense).table is not None
-    table = _QuadraticModel(dense, terms, counts, n)
+    table = replicate_model(dense, terms, counts, n)
     monkeypatch.setattr(linalg_module, "TABLE_BYTES", 0)
     assert PairProducts(dense).table is None
-    loop = _QuadraticModel(dense, terms, counts, n)
+    loop = replicate_model(dense, terms, counts, n)
     for model in (table, loop):
         assert np.array_equal(model.gram, model.gram.transpose(0, 2, 1))
     np.testing.assert_allclose(table.gram, loop.gram, rtol=1e-12, atol=1e-12)
@@ -199,10 +213,10 @@ def test_batch_member_model_is_its_batch_of_one(monkeypatch, bound):
     if bound is not None:
         monkeypatch.setattr(linalg_module, "TABLE_BYTES", bound)
     assert (PairProducts(dense).table is None) == (bound == 0)
-    batch = _QuadraticModel(dense, terms, counts, n)
+    batch = replicate_model(dense, terms, counts, n)
     for r in range(len(counts)):
         one = slice(r, r + 1)
-        alone = _QuadraticModel(dense, terms[one], counts[one], n[one])
+        alone = replicate_model(dense, terms[one], counts[one], n[one])
         assert np.array_equal(batch.gram[r], alone.gram[0])
         assert np.array_equal(batch.b[r], alone.b[0])
 
@@ -234,7 +248,7 @@ def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch
     W = two_block_weights()
     counts = np.array([[1.0, 1, 1, 1], [1, 1, 1, 0], [0, 1, 1, 1]])
     terms = np.tile(W.dense @ np.array([0.5, 0.5]), (3, 1))
-    model = _QuadraticModel(W.dense, terms, counts, counts.sum(axis=1))
+    model = replicate_model(W.dense, terms, counts, counts.sum(axis=1))
     solve = _QuadraticModel.solve
     failures = []
 
@@ -251,7 +265,7 @@ def test_only_the_replicate_with_a_dependent_support_column_drops_it(monkeypatch
     assert supports == [[0, 1], [0], [0, 1]]
     for r in range(3):
         one = slice(r, r + 1)
-        alone = _QuadraticModel(
+        alone = replicate_model(
             W.dense, terms[one], counts[one], counts[one].sum(axis=1)
         )
         target, _ = inner_loop(alone, [0, 1], W.m, 1e-12)
@@ -280,7 +294,7 @@ def test_batch_whose_passes_take_different_paths_matches_its_batches_of_one(
     starts = support_mask([[0, 1], [0, 1, 2], [0], [0, 1]], 3)
 
     def model_of(reps):
-        model = _QuadraticModel(dense, terms[reps], counts[reps], counts[reps].sum(axis=1))
+        model = replicate_model(dense, terms[reps], counts[reps], counts[reps].sum(axis=1))
         for i in np.flatnonzero(reps == 3):
             model.gram[i], model.b[i] = near.T @ near, [0.5, 1e-13, 1.0]
         return model
@@ -597,8 +611,8 @@ def _one_window_record_started_on_days_3_and_5():
 def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate(
     monkeypatch,
 ):
-    # the point fit's first inner pass starts from an empty working set; the
-    # same pass from a warm start also reaches the certificate
+    # no fit starts from an empty working set; emptied here by hand, the
+    # first inner pass of a warm start still reaches the certificate
     import incutime.solver as solver_module
 
     W, start = _one_window_record_started_on_days_3_and_5()
@@ -618,6 +632,28 @@ def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate(
     min_grad, comp = fenchel_residuals(masses, W)
     assert min_grad >= -1e-10 and comp <= 1e-10
     assert W.dense[0] @ masses == pytest.approx(3.0, abs=1e-9)
+
+
+def test_point_fit_first_inner_pass_starts_on_every_kept_day(monkeypatch):
+    # the uniform start is positive on every day, so the first working set
+    # is every kept column; later passes start where the one before ended
+    import incutime.solver as solver_module
+
+    _, _, W, _ = _simulated_fit(seed=21)
+    kept = solver_module._kept_columns(W.dense, None)
+    assert kept.size < W.m
+    inner_loop = solver_module._inner_loop
+    starts = []
+
+    def recorded(model, on, inner_tol):
+        starts.append(on.copy())
+        return inner_loop(model, on, inner_tol)
+
+    monkeypatch.setattr(solver_module, "_inner_loop", recorded)
+    solver_module._minimize(W, SolverConfig())
+    assert starts[0].shape == (1, kept.size)
+    assert starts[0].all()
+    assert len(starts) > 1 and not starts[-1].all()
 
 
 def test_warm_start_with_its_support_as_first_working_set_reaches_the_certificate():
@@ -705,16 +741,28 @@ def test_fit_on_a_2000_day_grid_certifies():
     assert mass.probs[-1] == pytest.approx(1 / 400, abs=1e-12)
 
 
-def test_wide_grid_fit_certifies_in_bounded_time_and_memory():
+def test_wide_grid_fit_certifies_in_bounded_time_and_memory(monkeypatch):
     # one-day exposures with onsets uniform over 250 days leave almost every
     # day undominated, so the quadratic models run on about 250 columns.
     # A table of all their pair products would take about 57 MB here; the
-    # fit forms its Gram matrices from the scaled columns instead
+    # fit forms its Gram matrices from the scaled columns instead.  The
+    # first inner pass starts on every kept day and drops the days the fit
+    # does not need, so it takes far fewer solves than adding one day each
+    import incutime.solver as solver_module
+
     rng = np.random.default_rng(0)
     m, n = 250, 1000
     data = validate_dataset(Dataset.singly(np.ones(n, dtype=int), rng.integers(1, m + 1, n)))
     W = build_weight_matrix(data, candidate_grid(data))
     assert W.m == m
+    solve = solver_module.spd_solve_stack
+    calls = []
+
+    def counted(a, rhs):
+        calls.append(len(a))
+        return solve(a, rhs)
+
+    monkeypatch.setattr(solver_module, "spd_solve_stack", counted)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -728,3 +776,4 @@ def test_wide_grid_fit_certifies_in_bounded_time_and_memory():
     assert min_grad >= -1e-10 and comp <= 1e-10
     assert elapsed < 60.0
     assert peak < 16 * 2**20
+    assert len(calls) <= 100

@@ -10,7 +10,7 @@ from incutime import (
     psi_weight,
     validate_dataset,
 )
-from incutime.weights import _compact, _group_records
+from incutime.weights import WeightMatrix, _compact, _group_records
 
 
 def window_integral_by_step_sums(e, s_l, s_r, mass):
@@ -164,6 +164,29 @@ def test_build_weight_matrix_flags_record_outside_grid():
     with pytest.raises(InfeasibleRecordError) as err:
         build_weight_matrix(data, Grid(points=np.array([2, 3])))
     assert err.value.record_index == 1
+
+
+def test_hand_built_matrix_with_an_all_zero_row_names_its_first_record():
+    # the matrix is refused when it is built, before any fit could start at
+    # the uniform masses and find a zero likelihood term there
+    with pytest.raises(InfeasibleRecordError) as err:
+        WeightMatrix(dense=np.array([[0.0, 0.0], [1.0, 0.0]]), grid=Grid(points=[1, 2]))
+    assert err.value.record_index == 0
+    # rows 1 and 2 are empty; record 1 (on row 2) comes before record 3
+    # (on row 1)
+    dense = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(InfeasibleRecordError) as err:
+        WeightMatrix(
+            dense=dense, grid=Grid(points=[1, 2]), counts=[2, 1, 2],
+            record_rows=[0, 2, 0, 1, 2],
+        )
+    assert err.value.record_index == 1
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_hand_built_matrix_with_a_negative_or_non_finite_weight_is_refused(bad):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        WeightMatrix(dense=np.array([[1.0, bad], [1.0, 0.0]]), grid=Grid(points=[1, 2]))
 
 
 def _repeated_rows(*columns, n=500, seed=8):
