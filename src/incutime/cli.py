@@ -118,29 +118,139 @@ def _parse_body(fh, path: str, width: int) -> np.ndarray:
         raise
 
 
-def read_dataset_csv(path: str, mode: str) -> Dataset:
-    """Read a dataset CSV: header ``e,s`` or ``e,sl,sr``, one record a line.
+# Dataset CSV header names by mode, as write_dataset_csv writes them.
+_HEADERS = {SINGLE: ["e", "s"], DOUBLE: ["e", "sl", "sr"]}
+# A canonical file is spelled as write_dataset_csv writes it: the header
+# as given, then records of unsigned decimal integers of at most 18 digits
+# (so each fits int64), "," between fields and the header's line end
+# ("\n" or "\r\n") after every record, the last one's optional.
+_CANONICAL_DIGITS = 18
+_CHUNK_BYTES = 1 << 15
+_ZERO, _NINE = ord("0"), ord("9")
 
-    Cells spelled as integers are read as exact int64 values.  Only a file
-    with some other cell (``3.0``, ``1e3``, ``inf``, text, an integer beyond
-    the int64 range) or a wrong field count is parsed again as float, which
-    reads it or fails as a float parse always did.  Validation then rejects
-    any value of magnitude 2**53 or more.
 
-    Raises DatasetValidationError for a wrong header, a record with the
-    wrong number of fields (``record_index`` counts records, so blank lines
-    are skipped) or no records, and ValueError for a cell that is not a
-    number.
+def _parse_canonical_block(chunk: np.ndarray, stop_bytes: bytes, block) -> bool:
+    """Parse ``chunk``, bytes that end in a line end, into ``block``, one
+    row a record; False, with ``block`` part written, if not canonical.
+
+    ``stop_bytes`` is the non-digit bytes of one record in order.
     """
-    expected = ["e", "s"] if mode == SINGLE else ["e", "sl", "sr"]
-    width = len(expected)
+    rows, width = block.shape
+    per = len(stop_bytes)
+    if chunk.max() > _NINE:
+        return False
+    stop = chunk < _ZERO
+    stops = np.flatnonzero(stop)
+    if stops.size != rows * per or chunk[stops].tobytes() != stop_bytes * rows:
+        return False
+    # digits before each stop; the chunk starts just after a line end
+    lengths = np.empty_like(stops)
+    lengths[0] = stops[0] + 1
+    np.subtract(stops[1:], stops[:-1], out=lengths[1:])
+    lengths -= 1
+    # the "\n" of a "\r\n" follows its "\r" at once, and no field is empty
+    if per > width and lengths[width::per].any():
+        return False
+    if np.count_nonzero(lengths) != rows * width:
+        return False
+    longest = int(lengths.max())
+    if longest > _CANONICAL_DIGITS:
+        return False
+    digits = chunk - _ZERO
+    digits *= ~stop
+    kind = np.min_scalar_type(10**longest - 1)
+    values = digits[stops - 1].astype(kind, copy=False)
+    for place in range(1, longest):
+        digit = digits[stops - 1 - place].astype(kind)
+        if place > 1:
+            # a byte that far back may belong to the field before
+            digit *= lengths > place
+        digit *= kind.type(10**place)
+        values += digit
+    for j in range(width):
+        block[:, j] = values[j::per]
+    return True
+
+
+def _read_canonical(raw: bytes, header: list) -> np.ndarray | None:
+    """The records of a canonical file as an int64 (records, width) array,
+    or None for any other file.
+
+    Goes through the body in chunks of whole records of about
+    ``_CHUNK_BYTES`` bytes; their line ends are counted first, so the result
+    is allocated once at its exact size.
+    """
+    width = len(header)
+    names = ",".join(header).encode()
+    for line_end in (b"\n", b"\r\n"):
+        if raw.startswith(names + line_end):
+            break
+    else:
+        return None
+    start = len(names) + len(line_end)
+    # no chunk of a canonical body runs more than one record past the mark
+    longest_record = width * (_CANONICAL_DIGITS + 1) + 1
+    data = np.frombuffer(raw, np.uint8)
+    spans = []
+    while start < len(raw):
+        end = raw.find(b"\n", start + _CHUNK_BYTES - 1) + 1 or len(raw)
+        if end - start > _CHUNK_BYTES + longest_record:
+            return None
+        spans.append((start, end, np.count_nonzero(data[start:end] == 10)))
+        start = end
+    if not spans:
+        return None
+    missing = not raw.endswith(line_end)  # the last record's line end
+    out = np.empty((sum(rows for *_, rows in spans) + missing, width), np.int64)
+    stop_bytes = b"," * (width - 1) + line_end
+    row = 0
+    for start, end, rows in spans:
+        chunk = data[start:end]
+        if missing and end == len(raw):
+            chunk = np.frombuffer(raw[start:] + line_end, np.uint8)
+            rows += 1
+        if not _parse_canonical_block(chunk, stop_bytes, out[row : row + rows]):
+            return None
+        row += rows
+    return out
+
+
+def _read_general(path: str, expected: list) -> np.ndarray:
+    """The records of any dataset CSV, int64 or float, through ``np.loadtxt``."""
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), None)
         if header is None or [h.strip().lower() for h in header] != expected:
             raise DatasetValidationError(
                 f"{path}: expected header {','.join(expected)}"
             )
-        values = _parse_body(fh, path, width)
+        return _parse_body(fh, path, len(expected))
+
+
+def read_dataset_csv(path: str, mode: str) -> Dataset:
+    """Read a dataset CSV: header ``e,s`` or ``e,sl,sr``, one record a line.
+
+    A canonical file, as ``write_dataset_csv`` writes it, is read in one
+    vectorized pass over its bytes (``_read_canonical``).  Every other file
+    takes the general path: cells spelled as integers are read as exact
+    int64 values, and only a file with some other cell (``3.0``, ``1e3``,
+    ``inf``, text, an integer beyond the int64 range) or a wrong field count
+    is parsed again as float, which reads it or fails as a float parse
+    always did.  Both paths give the same int64 array for a canonical file.
+    Validation then rejects any value of magnitude 2**53 or more.
+
+    Raises DatasetValidationError for a wrong header, a record with the
+    wrong number of fields (``record_index`` counts records, so blank lines
+    are skipped) or no records, and ValueError for a cell that is not a
+    number.
+    """
+    expected = _HEADERS[SINGLE if mode == SINGLE else DOUBLE]
+    width = len(expected)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    values = _read_canonical(raw, expected)
+    del raw
+    if values is None:
+        values = _read_general(path, expected)
     if values.size == 0:
         raise DatasetValidationError("empty dataset")
     if values.shape[1] != width:
@@ -155,17 +265,28 @@ def read_dataset_csv(path: str, mode: str) -> Dataset:
     return validate_dataset(data)
 
 
+_WRITE_ROWS = 4096
+
+
 def write_dataset_csv(path: str, data: Dataset) -> None:
+    """Write ``data``: the header, then one record a line, each cell
+    spelled by ``int()`` and each line ended by CRLF, the bytes that
+    ``csv.writer`` writes for them.  Lines are joined and written
+    ``_WRITE_ROWS`` at a time.
+    """
+    if data.mode == SINGLE:
+        columns = (data.e, data.s)
+    else:
+        columns = (data.e, data.s_l, data.s_r)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if data.mode == SINGLE:
-            writer.writerow(["e", "s"])
-            for e, s in zip(data.e, data.s):
-                writer.writerow([int(e), int(s)])
-        else:
-            writer.writerow(["e", "sl", "sr"])
-            for e, lo, hi in zip(data.e, data.s_l, data.s_r):
-                writer.writerow([int(e), int(lo), int(hi)])
+        fh.write(",".join(_HEADERS[data.mode]) + "\r\n")
+        for start in range(0, data.n, _WRITE_ROWS):
+            rows = zip(*(c[start : start + _WRITE_ROWS].tolist() for c in columns))
+            if data.mode == SINGLE:
+                lines = (f"{int(e)},{int(s)}\r\n" for e, s in rows)
+            else:
+                lines = (f"{int(e)},{int(lo)},{int(hi)}\r\n" for e, lo, hi in rows)
+            fh.write("".join(lines))
 
 
 def _write_estimate_csv(path, mass, fhat, grid) -> None:

@@ -1,7 +1,9 @@
 import csv
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -58,6 +60,45 @@ def test_dataset_csv_round_trip(tmp_path):
     write_dataset_csv(path, data)
     again = read_dataset_csv(path, "double")
     assert again == data
+
+
+def _csv_writer_reference(path, data):
+    """The dataset CSV as one csv.writer row per record writes it."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        if data.mode == "single":
+            writer.writerow(["e", "s"])
+            for e, s in zip(data.e, data.s):
+                writer.writerow([int(e), int(s)])
+        else:
+            writer.writerow(["e", "sl", "sr"])
+            for e, lo, hi in zip(data.e, data.s_l, data.s_r):
+                writer.writerow([int(e), int(lo), int(hi)])
+
+
+@pytest.mark.parametrize("data", [
+    Dataset.singly(np.arange(1, 10001), np.arange(10001, 20001)),
+    Dataset.singly([3.0, 12.0, 1e20], [5.0, 2.0, 7.0]),
+    Dataset.doubly([1, 3, 2**62], [0, 1, 5], [2, 4, 9]),
+    Dataset.doubly([1.0, 3.0], [0.0, 10.0], [2.0, 41.0]),
+    Dataset.singly([], []),
+    Dataset.doubly(np.empty(0, np.int64), [], []),
+], ids=["single int", "single float", "double int", "double float",
+        "single empty", "double empty"])
+def test_write_dataset_csv_matches_csv_writer(tmp_path, data):
+    write_dataset_csv(str(tmp_path / "d.csv"), data)
+    _csv_writer_reference(str(tmp_path / "ref.csv"), data)
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+def test_write_dataset_csv_raises_on_a_non_finite_cell(tmp_path, cell):
+    data = Dataset.doubly(np.arange(1.0, 5001.0), np.zeros(5000), np.full(5000, 9.0))
+    data.s_r[4500] = cell
+    with pytest.raises((ValueError, OverflowError)) as expected:
+        _csv_writer_reference(str(tmp_path / "ref.csv"), data)
+    with pytest.raises(expected.type, match=re.escape(str(expected.value))):
+        write_dataset_csv(str(tmp_path / "d.csv"), data)
 
 
 def test_read_dataset_rejects_wrong_header(tmp_path):
@@ -129,6 +170,44 @@ READER_CASES = {
     "least int64": (
         "e,sl,sr\n1,-9223372036854775808,2\n", "double", (DatasetValidationError, 0)
     ),
+    # boundaries of the one-pass reader for canonical files
+    "last record without a line end": (
+        "e,s\n1,2\n3,4", "single", Dataset.singly([1, 3], [2, 4])
+    ),
+    "crlf, last record without a line end": (
+        "e,s\r\n1,2\r\n3,4", "single", Dataset.singly([1, 3], [2, 4])
+    ),
+    "mixed lf and crlf line ends": (
+        "e,s\n1,2\r\n3,4\n", "single", Dataset.singly([1, 3], [2, 4])
+    ),
+    "lone carriage return": (
+        "e,s\n1,2\r3,4\n", "single", Dataset.singly([1, 3], [2, 4])
+    ),
+    "crlf header over an lf body": (
+        "e,sl,sr\r\n1,0,2\n3,1,4\n", "double",
+        Dataset.doubly([1, 3], [0, 1], [2, 4]),
+    ),
+    "leading zeros": ("e,s\n007,12\n", "single", Dataset.singly([7], [12])),
+    "18-digit integer": (
+        "e,s\n1,123456789012345678\n", "single", (DatasetValidationError, 0)
+    ),
+    "19-digit integer": (
+        "e,s\n1,1234567890123456789\n", "single", (DatasetValidationError, 0)
+    ),
+    "19-digit integer beyond int64": (
+        "e,s\n1,9999999999999999999\n", "single", (DatasetValidationError, 0)
+    ),
+    "empty cell": ("e,sl,sr\n1,,2\n", "double", (ValueError, None)),
+    "empty cell, then a digit between cr and lf": (
+        "e,s\r\n1,\r5\n2,3\r\n", "single", (DatasetValidationError, 1)
+    ),
+    "trailing comma without a line end": (
+        "e,s\n1,2\n3,4,", "single", (DatasetValidationError, 1)
+    ),
+    "leading minus": ("e,s\n1,2\n-1,2\n", "single", (DatasetValidationError, 1)),
+    "utf-8 byte order mark": (
+        "\ufeffe,s\n1,2\n", "single", (DatasetValidationError, None)
+    ),
 }
 
 
@@ -149,6 +228,27 @@ def test_read_dataset_csv_cases(tmp_path, text, mode, expected):
     assert getattr(caught.value, "record_index", None) == record_index
 
 
+def _outcome(path, mode):
+    """The Dataset read from ``path``, or the type, message and record index
+    of the error raised."""
+    try:
+        return read_dataset_csv(path, mode)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "record_index", None)
+
+
+@pytest.mark.parametrize("text, mode, expected", READER_CASES.values(),
+                         ids=list(READER_CASES))
+def test_reader_cases_match_the_general_path(
+    tmp_path, monkeypatch, text, mode, expected
+):
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode())
+    fast = _outcome(str(path), mode)
+    monkeypatch.setattr(incutime.cli, "_read_canonical", lambda raw, header: None)
+    assert _outcome(str(path), mode) == fast
+
+
 def test_integer_file_is_parsed_once(tmp_path, monkeypatch):
     loadtxt = np.loadtxt
     dtypes = []
@@ -159,13 +259,32 @@ def test_integer_file_is_parsed_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "loadtxt", counted)
     path = tmp_path / "d.csv"
-    path.write_text("e,sl,sr\n1,0,2\n3,1,4\n")
-    read_dataset_csv(str(path), "double")
-    assert dtypes == [np.int64]
-    dtypes.clear()
-    path.write_text("e,sl,sr\n1,0,2\n3,1,4.0\n")
-    read_dataset_csv(str(path), "double")
-    assert dtypes == [np.int64, float]
+    expected = validate_dataset(Dataset.doubly([1, 3], [0, 1], [2, 4]))
+    for body, calls in [
+        # a canonical file takes the one-pass reader, not np.loadtxt
+        ("1,0,2\n3,1,4\n", []),
+        ("1, 0,2\n3,1,4\n", [np.int64]),
+        ('1,"0",2\n3,1,4\n', [np.int64]),
+        ("1,0,2\n3,1,4.0\n", [np.int64, float]),
+    ]:
+        dtypes.clear()
+        path.write_text("e,sl,sr\n" + body)
+        assert read_dataset_csv(str(path), "double") == expected
+        assert dtypes == calls, body
+
+
+def test_canonical_reader_declines_a_line_longer_than_a_record(monkeypatch):
+    # a chunk runs at most one record past its mark, so a body without line
+    # ends is declined before any chunk-sized temporary is made
+    monkeypatch.setattr(incutime.cli, "_CHUNK_BYTES", 1024)
+    raw = b"e,s\n" + b"1," * 50_000 + b"1\n"
+    tracemalloc.start()
+    try:
+        assert incutime.cli._read_canonical(raw, ["e", "s"]) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000
 
 
 def _truncating_loadtxt(monkeypatch):

@@ -3,8 +3,11 @@
 The pattern-compressed likelihood must agree with the per-record sums it
 replaces, a resample's count vector over the rows must reproduce the
 weights of the resampled records exactly, and the fit must not depend on
-the order of the records.
+the order of the records.  The one-pass CSV reader must decline a body or
+read it to the general parse's int64 array.
 """
+
+import io
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from incutime import (  # noqa: E402
 )
 from incutime.linalg import PairProducts, spd_invert, spd_solve  # noqa: E402
 from incutime.bootstrap import _replicate_counts, _replicate_indices  # noqa: E402
+from incutime.cli import _parse_body, _read_canonical  # noqa: E402
 from incutime.em import fit_em  # noqa: E402
 from incutime.solver import (  # noqa: E402
     SolverConfig,
@@ -335,3 +339,44 @@ def test_spd_entry_point_reports_the_reference_pivot_on_nan_matrices(
     expected = reference_pivot(a)
     assert expected is not None
     assert failing_pivot(entry_point, a) == expected
+
+
+READER_BYTES = '0123456789,\n\r -+."'
+
+
+@st.composite
+def csv_bodies(draw):
+    """(header, line end, body, canonical): a canonical body, one with a
+    byte replaced, dropped or inserted, or bytes drawn from the CSV alphabet."""
+    header = draw(st.sampled_from([["e", "s"], ["e", "sl", "sr"]]))
+    line_end = draw(st.sampled_from(["\n", "\r\n"]))
+    cell = st.text("0123456789", min_size=1, max_size=18)
+    rows = draw(st.lists(
+        st.lists(cell, min_size=len(header), max_size=len(header)),
+        min_size=1, max_size=6,
+    ))
+    body = line_end.join(",".join(row) for row in rows)
+    body += draw(st.sampled_from([line_end, ""]))
+    kind = draw(st.sampled_from(["canonical", "changed", "drawn"]))
+    if kind == "changed":
+        at = draw(st.integers(0, len(body) - 1))
+        byte = draw(st.sampled_from([*READER_BYTES, ""]))
+        body = body[:at] + byte + body[at + draw(st.integers(0, 1)):]
+    elif kind == "drawn":
+        body = draw(st.text(READER_BYTES, max_size=40))
+    return header, line_end, body, kind == "canonical"
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=csv_bodies())
+@example(case=(["e", "s"], "\r\n", "1,\r5\n2,3\r\n", False))
+@example(case=(["e", "s"], "\n", "1,9999999999999999999\n", False))
+@example(case=(["e", "s"], "\n", "", False))
+def test_canonical_reader_declines_or_matches_the_general_parse(case):
+    header, line_end, body, canonical = case
+    fast = _read_canonical((",".join(header) + line_end + body).encode(), header)
+    assert fast is not None or not canonical
+    if fast is not None:
+        general = _parse_body(io.StringIO(body, newline=""), "d.csv", len(header))
+        assert general.dtype == fast.dtype == np.int64
+        assert general.shape == fast.shape and (general == fast).all()
