@@ -270,23 +270,20 @@ _WRITE_ROWS = 4096
 
 def write_dataset_csv(path: str, data: Dataset) -> None:
     """Write ``data``: the header, then one record a line, each cell
-    spelled by ``int()`` and each line ended by CRLF, the bytes that
-    ``csv.writer`` writes for them.  Lines are joined and written
-    ``_WRITE_ROWS`` at a time.
+    spelled by ``%d`` (as ``int()`` spells it) and each line ended by CRLF,
+    the bytes that ``csv.writer`` writes for them.  Lines are joined and
+    written ``_WRITE_ROWS`` at a time.
     """
     if data.mode == SINGLE:
         columns = (data.e, data.s)
     else:
         columns = (data.e, data.s_l, data.s_r)
+    line = ",".join(["%d"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_HEADERS[data.mode]) + "\r\n")
         for start in range(0, data.n, _WRITE_ROWS):
             rows = zip(*(c[start : start + _WRITE_ROWS].tolist() for c in columns))
-            if data.mode == SINGLE:
-                lines = (f"{int(e)},{int(s)}\r\n" for e, s in rows)
-            else:
-                lines = (f"{int(e)},{int(lo)},{int(hi)}\r\n" for e, lo, hi in rows)
-            fh.write("".join(lines))
+            fh.write("".join(line % row for row in rows))
 
 
 def _write_estimate_csv(path, mass, fhat, grid) -> None:
