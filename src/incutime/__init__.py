@@ -21,8 +21,6 @@ from .errors import (
 )
 from .inference import (
     FisherResult,
-    IntervalRow,
-    IntervalTable,
     averaged_inverse_information,
     cdf_covariance,
     extend_variances,
@@ -34,6 +32,8 @@ from .model import (
     Dataset,
     DayCdf,
     Grid,
+    IntervalRow,
+    IntervalTable,
     MassFunction,
     candidate_grid,
     cdf_from_mass,

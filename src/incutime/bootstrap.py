@@ -19,8 +19,11 @@ support as its first working set, instead of at the uniform vector: it
 needs fewer outer iterations and fewer normal-equation solves to reach the
 same certificate.
 ``refit_replicates`` is the one replicate engine behind both the bootstrap
-and Fisher averaging, and ``check_replicate_failures`` their one failure
-policy.
+and Fisher averaging, refitting at the default ``SolverConfig`` tolerances
+as the point fit does, and ``check_replicate_failures`` their one failure
+policy.  The interval rows are built by ``IntervalTable.from_bounds``, as
+the Wald rows are, so this module needs nothing from ``inference``, which
+imports the engine from here.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BootstrapFailureError
-from .inference import IntervalRow, IntervalTable
-from .model import Dataset, cdf_from_mass
+from .model import Dataset, IntervalTable, _check_level_and_days, cdf_from_mass
 from .solver import SolverConfig, _minimize_batch, fit_weights
 from .weights import WeightMatrix
 
@@ -75,9 +77,7 @@ def _replicate_counts(W: WeightMatrix, seed, replicate_index: int) -> np.ndarray
     return np.bincount(drawn, minlength=W.dense.shape[0])
 
 
-def refit_replicates(
-    W: WeightMatrix, seed, b: int, config: SolverConfig, start: np.ndarray
-):
+def refit_replicates(W: WeightMatrix, seed, b: int, start: np.ndarray):
     """Refit b bootstrap resamples of the records behind W.
 
     Replicate k draws the records of ``resample(data, seed, k)``, and its
@@ -103,7 +103,7 @@ def refit_replicates(
         for first in range(0, b, BATCH_CAP):
             batch = range(first, min(b, first + BATCH_CAP))
             counts = np.array([_replicate_counts(W, seed, k) for k in batch], float)
-            masses, errors, _ = _minimize_batch(W, counts, config, start)
+            masses, errors, _ = _minimize_batch(W, counts, SolverConfig(), start)
             yield counts, masses, np.array([error is None for error in errors])
 
     return refits()
@@ -121,34 +121,26 @@ def check_replicate_failures(failed: int, total: int, what: str) -> None:
 
 
 def bootstrap_ci(
-    weights: WeightMatrix,
-    config: BootstrapConfig,
-    solver_config: SolverConfig | None = None,
-    level: float = 0.95,
-    mass=None,
+    weights: WeightMatrix, config: BootstrapConfig, level: float = 0.95, mass=None
 ) -> IntervalTable:
     """Percentile bootstrap intervals at the requested days.
 
-    ``weights`` is the fit's matrix; the point estimate is refitted from it
-    when ``mass`` is omitted.  Every replicate refit starts at the point
+    ``weights`` is the fit's matrix; the days default to 1..the grid's
+    horizon.  The level and the days are checked before anything is
+    fitted, and the point estimate is refitted from the matrix when
+    ``mass`` is omitted.  Every replicate refit starts at the point
     estimate's masses, so a supplied ``mass`` must give every record a
     positive probability (ValueError otherwise).  Raises
     BootstrapFailureError when more than 10 percent of replicates fail to
     refit; failures below that threshold are dropped from the quantiles.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
-    solver_config = solver_config or SolverConfig()
     grid = weights.grid
+    horizon = grid.horizon
+    points = config.points if config.points is not None else range(1, horizon + 1)
+    points = _check_level_and_days(level, points, horizon)
     if mass is None:
-        mass, _ = fit_weights(weights, solver_config)
+        mass, _ = fit_weights(weights)
     fhat = cdf_from_mass(mass, grid)
-    m1 = grid.m1 if grid.m1 is not None else int(grid.points[-1])
-    points = config.points if config.points is not None else range(1, m1 + 1)
-    points = [int(p) for p in points]
-    for day in points:
-        if day < 1 or day > m1:
-            raise ValueError(f"evaluation day {day} outside 1..{m1}")
 
     estimates = np.array([fhat.value(d) for d in points])
     # grid point j covers days grid.points[j] ..; value at day d is the
@@ -156,9 +148,7 @@ def bootstrap_ci(
     below = np.searchsorted(grid.points, points, side="right")
     deltas = []
     failed = 0
-    replicates = refit_replicates(
-        weights, config.seed, config.b, solver_config, mass.as_vector(grid)
-    )
+    replicates = refit_replicates(weights, config.seed, config.b, mass.as_vector(grid))
     for _, probs, ok in replicates:
         failed += int(np.count_nonzero(~ok))
         rep_cdf = np.minimum(np.cumsum(probs[ok], axis=1), 1.0)
@@ -169,27 +159,12 @@ def bootstrap_ci(
     alpha = 1.0 - level
     lo_q = np.quantile(deltas, alpha / 2.0, axis=0)
     hi_q = np.quantile(deltas, 1.0 - alpha / 2.0, axis=0)
-    variances = weights.n * np.var(deltas, axis=0, ddof=1)
-    rows = []
-    for j, day in enumerate(points):
-        rows.append(
-            IntervalRow(
-                day=day,
-                estimate=float(estimates[j]),
-                lower=max(float(estimates[j] - hi_q[j]), 0.0),
-                upper=min(float(estimates[j] - lo_q[j]), 1.0),
-                method="bootstrap",
-                variance=float(variances[j]),
-                raw_lower=float(estimates[j] - hi_q[j]),
-                raw_upper=float(estimates[j] - lo_q[j]),
-            )
-        )
-    return IntervalTable(
-        rows=rows,
-        metadata={
-            "n": weights.n,
-            "level": level,
-            "replicates": config.b,
-            "failed": failed,
-        },
+    return IntervalTable.from_bounds(
+        points,
+        estimates,
+        estimates - hi_q,
+        estimates - lo_q,
+        weights.n * np.var(deltas, axis=0, ddof=1),
+        "bootstrap",
+        {"n": weights.n, "level": level, "replicates": config.b, "failed": failed},
     )

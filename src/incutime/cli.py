@@ -243,7 +243,8 @@ def read_dataset_csv(path: str, mode: str) -> Dataset:
     are skipped) or no records, and ValueError for a cell that is not a
     number.
     """
-    expected = _HEADERS[SINGLE if mode == SINGLE else DOUBLE]
+    mode = SINGLE if mode == SINGLE else DOUBLE
+    expected = _HEADERS[mode]
     width = len(expected)
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -258,11 +259,7 @@ def read_dataset_csv(path: str, mode: str) -> Dataset:
             f"{path}: row has {values.shape[1]} fields, expected {width}",
             record_index=0,
         )
-    if mode == SINGLE:
-        data = Dataset.singly(values[:, 0], values[:, 1])
-    else:
-        data = Dataset.doubly(values[:, 0], values[:, 1], values[:, 2])
-    return validate_dataset(data)
+    return validate_dataset(Dataset.from_columns(mode, values.T))
 
 
 _WRITE_ROWS = 4096
@@ -274,10 +271,7 @@ def write_dataset_csv(path: str, data: Dataset) -> None:
     the bytes that ``csv.writer`` writes for them.  Lines are joined and
     written ``_WRITE_ROWS`` at a time.
     """
-    if data.mode == SINGLE:
-        columns = (data.e, data.s)
-    else:
-        columns = (data.e, data.s_l, data.s_r)
+    columns = data.columns
     line = ",".join(["%d"] * len(columns)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_HEADERS[data.mode]) + "\r\n")
@@ -363,31 +357,27 @@ def _check_interval_args(args) -> None:
             raise ValueError("--fisher-averaged needs --b >= 1")
 
 
-def _interval_table(weights, mass, args, horizon, points, solver_config):
+def _interval_table(weights, mass, args, points):
     if args.method == "wald":
         result = fisher_result(
             weights,
             mass,
-            m1=horizon,
             averaging=args.b if args.fisher_averaged else None,
-            solver_config=solver_config,
             seed=args.seed,
         )
         fhat = cdf_from_mass(mass, weights.grid)
         return wald_intervals(fhat, result.variances, weights.n, points, args.level)
     config = BootstrapConfig(b=args.b, seed=args.seed, points=tuple(points))
-    return bootstrap_ci(weights, config, solver_config, args.level, mass=mass)
+    return bootstrap_ci(weights, config, args.level, mass=mass)
 
 
 def cmd_ci(args) -> int:
     _check_interval_args(args)
     data = read_dataset_csv(args.data, args.mode)
-    solver_config = SolverConfig()
-    weights, mass, _ = _fit(data, args.m1, solver_config)
-    horizon = args.m1 if args.m1 is not None else int(weights.grid.points[-1])
+    weights, mass, _ = _fit(data, args.m1, SolverConfig())
+    horizon = weights.grid.horizon
     points = args.points if args.points is not None else list(range(1, horizon + 1))
-    table = _interval_table(weights, mass, args, horizon, points, solver_config)
-    table.to_csv(args.out)
+    _interval_table(weights, mass, args, points).to_csv(args.out)
     return 0
 
 
@@ -405,11 +395,8 @@ def cmd_coverage(args) -> int:
     for rep in range(args.reps):
         try:
             data = draw(args.n, truth, exposure, [args.seed, rep])
-            solver_config = SolverConfig()
-            weights, mass, _ = _fit(data, truth.m1, solver_config)
-            table = _interval_table(
-                weights, mass, args, truth.m1, points, solver_config
-            )
+            weights, mass, _ = _fit(data, truth.m1, SolverConfig())
+            table = _interval_table(weights, mass, args, points)
         except IncutimeError:
             failures += 1
             continue

@@ -4,8 +4,9 @@ With fitted mass points i_1 < ... < i_l, the free parameters are the masses
 at the first l - 1 points (the last one is determined by normalization).
 The observed information matrix is inverted and mapped through partial sums
 to a covariance for the day CDF values at the mass points; step-function
-extension then yields a variance for every day up to m1, and Wald intervals
-follow after dividing by the sample size.
+extension then yields a variance for every day up to the grid's horizon
+(``Grid.horizon``: m1 when it is set, else the last grid point), and Wald
+intervals follow after dividing by the sample size.
 
 Everything here consumes the fit's ``WeightMatrix`` and its grid mass
 vector: the information matrix is a count-weighted sum over the matrix rows
@@ -16,56 +17,18 @@ resamples the same matrix.
 
 from __future__ import annotations
 
-import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
+from .bootstrap import check_replicate_failures, refit_replicates
 from .errors import DegenerateFitError, SingularMatrixError
 from .linalg import PairProducts, check_symmetric, spd_invert, spd_solve_stack
-from .model import DayCdf, MassFunction
-from .solver import SolverConfig, _terms
+from .model import DayCdf, IntervalTable, MassFunction, _check_level_and_days
+from .solver import _terms
 from .weights import WeightMatrix
-
-
-@dataclass(frozen=True)
-class IntervalRow:
-    day: int
-    estimate: float
-    lower: float
-    upper: float
-    method: str
-    variance: float
-    raw_lower: float
-    raw_upper: float
-
-
-@dataclass
-class IntervalTable:
-    """Per-day point estimates with confidence bounds and method metadata."""
-
-    rows: list
-    metadata: dict = field(default_factory=dict)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["day", "estimate", "lower", "upper", "method", "variance"]
-            )
-            for r in self.rows:
-                writer.writerow(
-                    [
-                        r.day,
-                        f"{r.estimate:.12g}",
-                        f"{r.lower:.12g}",
-                        f"{r.upper:.12g}",
-                        r.method,
-                        f"{r.variance:.12g}",
-                    ]
-                )
 
 
 @dataclass(frozen=True)
@@ -135,11 +98,7 @@ def _informations(
 
 
 def averaged_inverse_information(
-    weights: WeightMatrix,
-    solver_config: SolverConfig,
-    masses: np.ndarray,
-    b: int,
-    seed,
+    weights: WeightMatrix, masses: np.ndarray, b: int, seed
 ) -> tuple[np.ndarray, int]:
     """Mean inverse observed information over resampled-and-refitted datasets.
 
@@ -159,16 +118,14 @@ def averaged_inverse_information(
     Replicates come from the bootstrap's replicate engine: each one is a
     count vector over the rows of the fit's weight matrix, so no dataset is
     copied and no weight is evaluated twice, and the engine refits them
-    together, starting at ``masses`` with their support as the first
-    working set.  The ``PairProducts`` of the support's centered columns
-    are built once, and the matrices of each batch of refits the engine
-    yields are formed together from them, then tested and inverted
-    together, in one ``spd_solve_stack`` against the identity.  Each matrix
-    is ``observed_fisher`` of its replicate alone, and each inverse that of
-    ``spd_invert`` on it, bit for bit.
+    together at the default ``SolverConfig``, starting at ``masses`` with
+    their support as the first working set.  The ``PairProducts`` of the
+    support's centered columns are built once, and the matrices of each
+    batch of refits the engine yields are formed together from them, then
+    tested and inverted together, in one ``spd_solve_stack`` against the
+    identity.  Each matrix is ``observed_fisher`` of its replicate alone,
+    and each inverse that of ``spd_invert`` on it, bit for bit.
     """
-    from .bootstrap import check_replicate_failures, refit_replicates
-
     if b < 1:
         raise ValueError("averaging count b must be >= 1")
     products = PairProducts(
@@ -178,7 +135,7 @@ def averaged_inverse_information(
     total = None
     used = 0
     skipped = 0
-    replicates = refit_replicates(weights, seed, b, solver_config, masses)
+    replicates = refit_replicates(weights, seed, b, masses)
     for counts, refits, ok in replicates:
         fishers, vanished = _informations(weights, products, refits[ok], counts[ok])
         # a replicate with a drawn row at zero fitted probability degenerates
@@ -246,59 +203,38 @@ def extend_variances(
 
 
 def wald_intervals(
-    fhat: DayCdf,
-    variances: np.ndarray,
-    n: int,
-    points,
-    level: float = 0.95,
-    method: str = "wald",
+    fhat: DayCdf, variances: np.ndarray, n: int, points, level: float = 0.95
 ) -> IntervalTable:
     """Symmetric intervals F(t) +/- z * sqrt(variance_t / n), clipped to [0, 1].
 
-    z is the standard normal quantile at (1 + level) / 2.  The unclipped
-    bounds are retained on each row as raw_lower/raw_upper.
+    z is the standard normal quantile at (1 + level) / 2, and ``variances``
+    holds one variance a day from day 1.  The unclipped bounds are retained
+    on each row as raw_lower/raw_upper.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
+    days = np.array(_check_level_and_days(level, points, variances.shape[0]), int)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    points = list(points)
-    m1 = variances.shape[0]
-    rows = []
-    for day in points:
-        day = int(day)
-        if day < 1 or day > m1:
-            raise ValueError(f"evaluation day {day} outside 1..{m1}")
-        est = fhat.value(day)
-        var = float(variances[day - 1])
-        half = z * np.sqrt(var / n)
-        raw_lo, raw_hi = est - half, est + half
-        rows.append(
-            IntervalRow(
-                day=day,
-                estimate=est,
-                lower=max(raw_lo, 0.0),
-                upper=min(raw_hi, 1.0),
-                method=method,
-                variance=var,
-                raw_lower=raw_lo,
-                raw_upper=raw_hi,
-            )
-        )
-    return IntervalTable(rows=rows, metadata={"n": n, "level": level})
+    estimates = fhat.value_at(days)
+    day_variances = variances[days - 1]
+    half = z * np.sqrt(day_variances / n)
+    return IntervalTable.from_bounds(
+        days,
+        estimates,
+        estimates - half,
+        estimates + half,
+        day_variances,
+        "wald",
+        {"n": n, "level": level},
+    )
 
 
 def fisher_result(
-    weights: WeightMatrix,
-    mass: MassFunction,
-    m1: int,
-    averaging: int | None = None,
-    solver_config: SolverConfig | None = None,
-    seed=0,
+    weights: WeightMatrix, mass: MassFunction, averaging: int | None = None, seed=0
 ) -> FisherResult:
     """Full pipeline from a fitted mass function to per-day variances.
 
-    ``weights`` is the matrix the masses were fitted on.  With ``averaging``
-    the inverse information is averaged over that many resampled refits.
+    ``weights`` is the matrix the masses were fitted on; the variances run
+    over days 1..``weights.grid.horizon``.  With ``averaging`` the inverse
+    information is averaged over that many resampled refits.
     """
     support = mass.support
     if support.size < 2:
@@ -313,9 +249,11 @@ def fisher_result(
         inverse, used_pinv = _invert_information(fisher)
     else:
         inverse, skipped = averaged_inverse_information(
-            weights, solver_config or SolverConfig(), masses, averaging, seed
+            weights, masses, averaging, seed
         )
-    variances = extend_variances(_partial_sum_covariance(inverse), support, m1)
+    variances = extend_variances(
+        _partial_sum_covariance(inverse), support, weights.grid.horizon
+    )
     return FisherResult(
         support=support,
         variances=variances,

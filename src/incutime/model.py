@@ -8,6 +8,7 @@ day-averaged distribution function reported to users.
 
 from __future__ import annotations
 
+import csv
 import logging
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ logger = logging.getLogger(__name__)
 
 SINGLE = "single"
 DOUBLE = "double"
+# the record columns of each mode, by field name
+_COLUMNS = {SINGLE: ("e", "s"), DOUBLE: ("e", "s_l", "s_r")}
 
 
 @dataclass(frozen=True)
@@ -67,22 +70,26 @@ class Dataset:
     def __len__(self) -> int:
         return self.n
 
+    @classmethod
+    def from_columns(cls, mode: str, columns) -> "Dataset":
+        """The dataset of ``mode`` whose ``columns`` are the given ones."""
+        return cls(mode=mode, **dict(zip(_COLUMNS[mode], columns)))
+
+    @property
+    def columns(self) -> tuple:
+        """The record columns: (e, s) in single mode, (e, s_l, s_r) in double."""
+        return tuple(getattr(self, name) for name in _COLUMNS[self.mode])
+
     def take(self, indices) -> "Dataset":
         """Row subset (used by resampling); preserves mode."""
         idx = np.asarray(indices)
-        if self.mode == SINGLE:
-            return Dataset.singly(self.e[idx], self.s[idx])
-        return Dataset.doubly(self.e[idx], self.s_l[idx], self.s_r[idx])
+        return Dataset.from_columns(self.mode, [col[idx] for col in self.columns])
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset) or self.mode != other.mode:
-            return NotImplemented if not isinstance(other, Dataset) else False
-        if self.mode == SINGLE:
-            return np.array_equal(self.e, other.e) and np.array_equal(self.s, other.s)
-        return (
-            np.array_equal(self.e, other.e)
-            and np.array_equal(self.s_l, other.s_l)
-            and np.array_equal(self.s_r, other.s_r)
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.mode == other.mode and all(
+            np.array_equal(a, b) for a, b in zip(self.columns, other.columns)
         )
 
 
@@ -176,7 +183,6 @@ class Grid:
 
     points: np.ndarray
     m1: int | None = None  # upper bound of the incubation support, if known
-    m2: int | None = None  # largest exposure window length, if known
 
     def __post_init__(self):
         pts = _as_int_column(np.asarray(self.points), "grid point")
@@ -192,6 +198,11 @@ class Grid:
     def size(self) -> int:
         return int(self.points.size)
 
+    @property
+    def horizon(self) -> int:
+        """Last day that intervals cover: ``m1`` when set, else the last grid point."""
+        return self.m1 if self.m1 is not None else int(self.points[-1])
+
 
 def candidate_grid(data: Dataset, m1: int | None = None) -> Grid:
     """Default mass point grid for a dataset.
@@ -200,12 +211,11 @@ def candidate_grid(data: Dataset, m1: int | None = None) -> Grid:
     onset (right onset bound in double mode); with ``m1`` it runs up to
     ``m1 + max(e)``, covering every day the model can place mass on.
     """
-    max_e = int(data.e.max())
     if m1 is None:
-        top = int(data.s.max()) if data.mode == SINGLE else int(data.s_r.max())
+        top = int(data.columns[-1].max())
     else:
-        top = int(m1) + max_e
-    return Grid(points=np.arange(1, top + 1), m1=m1, m2=max_e)
+        top = int(m1) + int(data.e.max())
+    return Grid(points=np.arange(1, top + 1), m1=m1)
 
 
 @dataclass(frozen=True)
@@ -297,3 +307,76 @@ def cdf_from_mass(mass: MassFunction, grid: Grid) -> DayCdf:
     increments = np.zeros(top)
     increments[mass.support - 1] = mass.probs
     return DayCdf(values=np.minimum(np.cumsum(increments), 1.0))
+
+
+@dataclass(frozen=True)
+class IntervalRow:
+    day: int
+    estimate: float
+    lower: float
+    upper: float
+    method: str
+    variance: float
+    raw_lower: float
+    raw_upper: float
+
+
+@dataclass
+class IntervalTable:
+    """Per-day point estimates with confidence bounds and method metadata."""
+
+    rows: list
+    metadata: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_bounds(
+        cls, points, estimates, raw_lower, raw_upper, variances, method, metadata
+    ) -> "IntervalTable":
+        """One row a day, its bounds clipped to [0, 1]; the unclipped bounds
+        are kept as ``raw_lower`` and ``raw_upper``."""
+        rows = [
+            IntervalRow(
+                day=int(day),
+                estimate=float(est),
+                lower=max(float(lo), 0.0),
+                upper=min(float(hi), 1.0),
+                method=method,
+                variance=float(var),
+                raw_lower=float(lo),
+                raw_upper=float(hi),
+            )
+            for day, est, lo, hi, var in zip(
+                points, estimates, raw_lower, raw_upper, variances
+            )
+        ]
+        return cls(rows=rows, metadata=metadata)
+
+    def to_csv(self, path) -> None:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["day", "estimate", "lower", "upper", "method", "variance"]
+            )
+            for r in self.rows:
+                writer.writerow(
+                    [
+                        r.day,
+                        f"{r.estimate:.12g}",
+                        f"{r.lower:.12g}",
+                        f"{r.upper:.12g}",
+                        r.method,
+                        f"{r.variance:.12g}",
+                    ]
+                )
+
+
+def _check_level_and_days(level: float, points, horizon: int) -> list:
+    """The evaluation days as ints; ValueError for a ``level`` outside
+    (0, 1) or a day outside 1..``horizon``."""
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must be in (0, 1)")
+    days = [int(day) for day in points]
+    for day in days:
+        if day < 1 or day > horizon:
+            raise ValueError(f"evaluation day {day} outside 1..{horizon}")
+    return days

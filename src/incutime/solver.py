@@ -241,15 +241,11 @@ class _QuadraticModel:
         combination of the support columns before it makes its normal
         matrix singular, and ``failed`` maps i to that column's position.
         """
-        if not supports.shape[1]:
-            return np.empty(supports.shape), {}
         a = self.gram[reps[:, None, None], supports[:, :, None], supports[:, None, :]]
         return spd_solve_stack(a, self.b[reps[:, None], supports])
 
     def gradient(self, reps: np.ndarray, supports: np.ndarray, masses: np.ndarray):
         """Model gradients on all the model's days at the support solutions."""
-        if not supports.shape[1]:
-            return -self.b[reps]
         at_support = self.gram[reps[:, None, None], self._columns, supports[:, None, :]]
         return np.matmul(at_support, masses[:, :, None])[..., 0] - self.b[reps]
 

@@ -173,18 +173,14 @@ def build_weight_matrix(data: Dataset, grid: Grid) -> WeightMatrix:
     the first record with zero weight at every grid point; all such records
     share one merged row.
     """
-    if data.mode == SINGLE:
-        columns = (data.e, data.s)
-    else:
-        columns = (data.e, data.s_l, data.s_r)
-    first, record_rows, counts = _group_records(columns)
+    first, record_rows, counts = _group_records(data.columns)
     pts = grid.points[None, :]
+    picked = [col[first][:, None] for col in data.columns]
     if data.mode == SINGLE:
-        s = data.s[first]
-        dense = ((pts > (s - data.e[first])[:, None]) & (pts <= s[:, None])).astype(float)
+        e, s = picked
+        dense = ((pts > s - e) & (pts <= s)).astype(float)
     else:
-        e, s_l, s_r = (col[first] for col in columns)
-        dense = window_weight(e[:, None], s_l[:, None], s_r[:, None], pts)
+        dense = window_weight(*picked, pts)
     kept, merged = _merge_equal_rows(dense)
     if kept.size < dense.shape[0]:
         dense = dense[kept]

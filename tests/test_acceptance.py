@@ -264,9 +264,7 @@ def wald_study():
             grid = candidate_grid(data, 15)
             try:
                 mass, _ = fit_npmle(data, grid)
-                result = fisher_result(
-                    build_weight_matrix(data, grid), mass, m1=15
-                )
+                result = fisher_result(build_weight_matrix(data, grid), mass)
             except DegenerateFitError:
                 continue
             break
@@ -359,7 +357,7 @@ def test_criterion_10_averaged_wald_coverage_double():
             try:
                 mass, _ = fit_npmle(data, grid)
                 result = fisher_result(
-                    build_weight_matrix(data, grid), mass, m1=15,
+                    build_weight_matrix(data, grid), mass,
                     averaging=averaging,
                     seed=[292, rep],
                 )

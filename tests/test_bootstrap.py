@@ -157,6 +157,24 @@ def test_bootstrap_rejects_points_outside_horizon():
         )
 
 
+def test_bootstrap_checks_days_before_the_point_fit(monkeypatch):
+    # a day past the horizon is refused before the omitted mass is fitted
+    import incutime.bootstrap as bootstrap_module
+
+    fits = []
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return fit_weights(*args, **kwargs)
+
+    monkeypatch.setattr(bootstrap_module, "fit_weights", counted)
+    data = draw_singly(50, TRUNCEXP, ExposureSpec(m2=15), seed=86)
+    weights = build_weight_matrix(data, candidate_grid(data, m1=15))
+    with pytest.raises(ValueError, match="outside 1..15"):
+        bootstrap_ci(weights, BootstrapConfig(b=2, points=(99,)))
+    assert fits == []
+
+
 @pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
 def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
     # a replicate refit in the batch is the batch of one on its count vector,
@@ -169,7 +187,7 @@ def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
     config = SolverConfig()
     _, point_trace = fit_weights(W, config)
     p_hat = point_trace.final_masses
-    replicates = replicate_results(W, 3, 4, config, p_hat)
+    replicates = replicate_results(W, 3, 4, p_hat)
     for k, (counts, masses) in enumerate(replicates):
         assert np.array_equal(counts, _replicate_counts(W, 3, k))
         alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
@@ -199,7 +217,7 @@ def test_replicate_refits_are_their_batches_of_one_on_both_gram_paths(monkeypatc
     assert (linalg_module.PairProducts(W.dense).table is None) == (bound == 0)
     _, point_trace = fit_weights(W, config)
     p_hat = point_trace.final_masses
-    for counts, masses in replicate_results(W, 9, 6, config, p_hat):
+    for counts, masses in replicate_results(W, 9, 6, p_hat):
         alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
         assert errors == [None]
         assert np.array_equal(masses, alone[0])
@@ -219,7 +237,7 @@ def test_batched_replicates_across_the_batch_cap_are_fits_of_their_resamples(dra
     _, point_trace = fit_weights(W, config)
     p_hat = point_trace.final_masses
     b = BATCH_CAP + 44
-    replicates = replicate_results(W, 5, b, config, p_hat)
+    replicates = replicate_results(W, 5, b, p_hat)
     assert len(replicates) == b
     for k, (_, masses) in enumerate(replicates):
         drawn = build_weight_matrix(resample(data, 5, k), grid)
@@ -245,7 +263,7 @@ def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
     config = SolverConfig()
     mass, _ = fit_weights(W, config)
     start = mass.as_vector(W.grid)
-    unforced = replicate_results(W, 7, 12, config, start)
+    unforced = replicate_results(W, 7, 12, start)
     models = []
 
     def second_pass_of_replicate_3_stalls(model, on, inner_tol):
@@ -258,7 +276,7 @@ def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
         return targets, on, errors
 
     monkeypatch.setattr(solver_module, "_inner_loop", second_pass_of_replicate_3_stalls)
-    forced = replicate_results(W, 7, 12, config, start)
+    forced = replicate_results(W, 7, 12, start)
     assert len(models) > 2
     assert forced[3] is None and unforced[3] is not None
     for k in range(12):
@@ -289,5 +307,5 @@ def test_replicate_start_without_positive_terms_is_rejected_before_any_draw(
             weights, BootstrapConfig(b=20, seed=0), mass=MassFunction([1], [1.0])
         )
     with pytest.raises(ValueError, match="zero probability"):
-        refit_replicates(weights, 0, 20, SolverConfig(), np.array([1.0, 0.0]))
+        refit_replicates(weights, 0, 20, np.array([1.0, 0.0]))
     assert draws == []

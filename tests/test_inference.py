@@ -97,7 +97,7 @@ def test_averaged_single_replicate_equals_inverse_of_that_resample():
     p_hat = mass.as_vector(grid)
     config = SolverConfig()
     averaged, skipped = averaged_inverse_information(
-        build_weight_matrix(data, grid), config, p_hat, b=1, seed=63
+        build_weight_matrix(data, grid), p_hat, b=1, seed=63
     )
     assert skipped == 0
     replicate = build_weight_matrix(resample(data, 63, 0), grid)
@@ -118,7 +118,7 @@ def test_averaged_inverse_dominates_inverse_of_plain_matrix():
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
     averaged, _ = averaged_inverse_information(
-        weights, SolverConfig(), mass.as_vector(grid), b=50, seed=64
+        weights, mass.as_vector(grid), b=50, seed=64
     )
     plain = observed_fisher(weights, mass.as_vector(grid), mass.support)
     gap_diag = np.diag(averaged - spd_invert(plain))
@@ -132,6 +132,7 @@ def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
     # others' sum.  The batches here hold 8 replicates, so the bad one
     # shares a batch with good ones
     import incutime.bootstrap as bootstrap_module
+    import incutime.inference as inference_module
 
     truth = TruthSpec(family="truncexp", a=6.0, m1=15)
     data = draw_doubly(400, truth, ExposureSpec(m2=15), seed=74)
@@ -139,8 +140,7 @@ def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
     p_hat = mass.as_vector(grid)
-    config = SolverConfig()
-    batches = list(bootstrap_module.refit_replicates(weights, 65, 20, config, p_hat))
+    batches = list(bootstrap_module.refit_replicates(weights, 65, 20, p_hat))
     assert all(ok.all() for _, _, ok in batches)
     results = [
         pair for counts, refits, _ in batches for pair in zip(counts, refits)
@@ -163,12 +163,12 @@ def test_averaged_inverse_is_the_loop_of_single_inverses(monkeypatch):
 
     for replicates in (results, [*results[:10], (one_row, p_hat), *results[10:]]):
         monkeypatch.setattr(
-            bootstrap_module,
+            inference_module,
             "refit_replicates",
             lambda *args, r=replicates: batches_of_8(r),
         )
         averaged, skipped = averaged_inverse_information(
-            weights, config, p_hat, b=len(replicates), seed=65
+            weights, p_hat, b=len(replicates), seed=65
         )
         assert skipped == len(replicates) - len(results)
         assert np.array_equal(averaged, expected)
@@ -181,6 +181,7 @@ def test_fisher_replicate_at_zero_fitted_probability_is_skipped(monkeypatch, bou
     # mean is bit for bit that of their own inverses, on either way of
     # forming the matrices
     import incutime.bootstrap as bootstrap_module
+    import incutime.inference as inference_module
     import incutime.linalg as linalg_module
 
     if bound is not None:
@@ -191,8 +192,7 @@ def test_fisher_replicate_at_zero_fitted_probability_is_skipped(monkeypatch, bou
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
     p_hat = mass.as_vector(grid)
-    config = SolverConfig()
-    counts, refits, ok = next(bootstrap_module.refit_replicates(weights, 66, 10, config, p_hat))
+    counts, refits, ok = next(bootstrap_module.refit_replicates(weights, 66, 10, p_hat))
     assert ok.all()
     expected = sum(
         spd_invert(observed_fisher(weights, masses, mass.support, drawn))
@@ -206,11 +206,11 @@ def test_fisher_replicate_at_zero_fitted_probability_is_skipped(monkeypatch, bou
     counts = np.insert(counts, 2, counts[2], axis=0)
     refits = np.insert(refits, 2, point, axis=0)
     monkeypatch.setattr(
-        bootstrap_module,
+        inference_module,
         "refit_replicates",
         lambda *args: iter([(counts, refits, np.ones(len(counts), bool))]),
     )
-    averaged, skipped = averaged_inverse_information(weights, config, p_hat, b=11, seed=66)
+    averaged, skipped = averaged_inverse_information(weights, p_hat, b=11, seed=66)
     assert skipped == 1
     assert np.array_equal(averaged, expected)
 
@@ -321,7 +321,7 @@ def test_fisher_result_end_to_end_singly():
     data = draw_singly(500, truth, ExposureSpec(m2=15), seed=65)
     grid = candidate_grid(data, m1=15)
     mass, _ = fit_npmle(data, grid)
-    result = fisher_result(build_weight_matrix(data, grid), mass, m1=15)
+    result = fisher_result(build_weight_matrix(data, grid), mass)
     assert isinstance(result, FisherResult)
     assert result.variances.shape == (15,)
     assert np.all(result.variances >= 0)
@@ -337,7 +337,7 @@ def test_fisher_result_rejects_single_point_fit():
     grid = candidate_grid(data)
     mass, _ = fit_npmle(data, grid)
     with pytest.raises(DegenerateFitError):
-        fisher_result(build_weight_matrix(data, grid), mass, m1=15)
+        fisher_result(build_weight_matrix(data, grid), mass)
 
 
 def test_fisher_averaging_fails_loudly_when_refits_collapse(monkeypatch):
@@ -354,7 +354,7 @@ def test_fisher_averaging_fails_loudly_when_refits_collapse(monkeypatch):
     mass, _ = fit_npmle(data, grid)
     monkeypatch.setattr(solver_module, "_inner_loop", always_stalls)
     with pytest.raises(BootstrapFailureError) as err:
-        fisher_result(weights, mass, m1=15, averaging=20)
+        fisher_result(weights, mass, averaging=20)
     assert err.value.failed == 20
     assert err.value.total == 20
 
@@ -366,7 +366,7 @@ def test_replicate_failure_counts_are_python_ints():
     grid = candidate_grid(data, m1=15)
     weights = build_weight_matrix(data, grid)
     mass, _ = fit_npmle(data, grid)
-    result = fisher_result(weights, mass, m1=15, averaging=10)
+    result = fisher_result(weights, mass, averaging=10)
     assert type(result.replicates_skipped) is int
     table = bootstrap_ci(weights, BootstrapConfig(b=10, seed=0), mass=mass)
     assert type(table.metadata["failed"]) is int

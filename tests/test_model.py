@@ -6,6 +6,7 @@ from incutime import (
     DatasetValidationError,
     DayCdf,
     Grid,
+    IntervalTable,
     MassFunction,
     candidate_grid,
     cdf_from_mass,
@@ -81,6 +82,15 @@ def test_dataset_take_preserves_mode_and_rows():
     assert sub == Dataset.doubly([3, 1, 3], [2, 0, 2], [4, 2, 4])
 
 
+def test_dataset_columns_follow_the_mode():
+    single = Dataset.singly([1, 2], [3, 4])
+    double = Dataset.doubly([1, 2], [0, 1], [3, 4])
+    assert [c.tolist() for c in single.columns] == [[1, 2], [3, 4]]
+    assert [c.tolist() for c in double.columns] == [[1, 2], [0, 1], [3, 4]]
+    assert Dataset.from_columns("double", double.columns) == double
+    assert single != Dataset.singly([1, 2], [3, 5]) and single != double
+
+
 def test_cdf_from_mass_single_atom():
     grid = Grid(points=np.arange(1, 6))
     fbar = cdf_from_mass(MassFunction([3], [1.0]), grid)
@@ -147,7 +157,26 @@ def test_candidate_grid_with_known_support_bound():
     data = validate_dataset(Dataset.singly([3, 5], [4, 9]))
     grid = candidate_grid(data, m1=15)
     assert np.array_equal(grid.points, np.arange(1, 21))
-    assert grid.m1 == 15 and grid.m2 == 5
+    assert grid.m1 == 15
+
+
+def test_grid_horizon_is_m1_or_the_last_point():
+    data = validate_dataset(Dataset.singly([3, 5], [4, 9]))
+    assert candidate_grid(data, m1=15).horizon == 15
+    assert candidate_grid(data).horizon == 9
+
+
+def test_interval_table_from_bounds_clips_and_keeps_raw_bounds():
+    table = IntervalTable.from_bounds(
+        [1, 2], [0.1, 0.9], [-0.2, 0.7], [0.4, 1.3], [0.5, 0.25], "wald", {"n": 4}
+    )
+    assert [(r.lower, r.upper) for r in table.rows] == [(0.0, 0.4), (0.7, 1.0)]
+    assert [(r.raw_lower, r.raw_upper) for r in table.rows] == [(-0.2, 0.4), (0.7, 1.3)]
+    assert [(r.day, r.estimate, r.variance, r.method) for r in table.rows] == [
+        (1, 0.1, 0.5, "wald"),
+        (2, 0.9, 0.25, "wald"),
+    ]
+    assert table.metadata == {"n": 4}
 
 
 def test_grid_rejects_unsorted_points():

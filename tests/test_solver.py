@@ -354,6 +354,41 @@ def test_inner_loop_that_never_settles_is_a_typed_error():
         inner_loop(model, [0], W.m, 1e-12)
 
 
+def test_inner_loop_solves_through_an_empty_support():
+    # the pass starts on day 2, the one kept day with b < 0; its solve gives
+    # day 2 a negative mass, so the support empties, and the empty support's
+    # solve and gradient (the stacked numpy calls at order 0) bring in day 1
+    from incutime.solver import _kept_columns
+
+    data = validate_dataset(Dataset.singly([1, 1, 1, 2], [1, 1, 1, 3]))
+    W = build_weight_matrix(data, candidate_grid(data))
+    kept = _kept_columns(W.dense, None)
+    assert kept.tolist() == [0, 1]
+    p0 = np.array([0.05, 0.05, 0.9])
+    terms, counts, n = (W.dense @ p0)[None], W.counts[None], np.array([float(W.n)])
+    sizes = []
+
+    class SizeRecordingModel(_QuadraticModel):
+        def solve(self, reps, supports):
+            sizes.append(supports.shape[1])
+            return super().solve(reps, supports)
+
+    model = SizeRecordingModel(
+        PairProducts(W.dense[:, kept]),
+        terms,
+        counts,
+        n,
+        _gradients(terms, counts, n, W.dense)[:, kept],
+    )
+    start = model.b < 0.0
+    assert start.tolist() == [[False, True]]
+    targets, on, errors = _inner_loop(model, start, 1e-12)
+    assert sizes == [1, 0, 1]
+    np.testing.assert_allclose(targets, [[29.0 / 300.0, 0.0]], rtol=1e-12)
+    assert on.tolist() == [[True, False]]
+    assert errors == [None]
+
+
 def test_armijo_zero_direction_returns_start():
     W = split_row_weights()
     p0 = np.array([0.5, 0.5])
