@@ -58,7 +58,6 @@ from .simulate import (
 )
 from .solver import (
     IterationTrace,
-    SolverConfig,
     fenchel_residuals,
     fit_npmle,
     fit_weights,
@@ -93,7 +92,6 @@ __all__ = [
     "MassFunction",
     "NonConvergenceError",
     "SingularMatrixError",
-    "SolverConfig",
     "TruncExpFit",
     "TruncExpParams",
     "TruthSpec",

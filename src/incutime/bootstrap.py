@@ -19,7 +19,7 @@ support as its first working set, instead of at the uniform vector: it
 needs fewer outer iterations and fewer normal-equation solves to reach the
 same certificate.
 ``refit_replicates`` is the one replicate engine behind both the bootstrap
-and Fisher averaging, refitting at the default ``SolverConfig`` tolerances
+and Fisher averaging, certifying every refit at the solver's one tolerance
 as the point fit does, and ``check_replicate_failures`` their one failure
 policy.  The interval rows are built by ``IntervalTable.from_bounds``, as
 the Wald rows are, so this module needs nothing from ``inference``, which
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BootstrapFailureError
 from .model import Dataset, IntervalTable, _check_level_and_days, cdf_from_mass
-from .solver import SolverConfig, _minimize_batch, fit_weights
+from .solver import _minimize_batch, fit_weights
 from .weights import WeightMatrix
 
 
@@ -103,7 +103,7 @@ def refit_replicates(W: WeightMatrix, seed, b: int, start: np.ndarray):
         for first in range(0, b, BATCH_CAP):
             batch = range(first, min(b, first + BATCH_CAP))
             counts = np.array([_replicate_counts(W, seed, k) for k in batch], float)
-            masses, errors, _ = _minimize_batch(W, counts, SolverConfig(), start)
+            masses, errors, _ = _minimize_batch(W, counts, start)
             yield counts, masses, np.array([error is None for error in errors])
 
     return refits()

@@ -35,6 +35,7 @@ from .model import (
     DOUBLE,
     SINGLE,
     Dataset,
+    _check_level_and_days,
     candidate_grid,
     cdf_from_mass,
     validate_dataset,
@@ -48,7 +49,7 @@ from .simulate import (
     draw_singly,
     true_fbar,
 )
-from .solver import SolverConfig, fit_weights
+from .solver import fit_weights
 from .weights import build_weight_matrix
 
 
@@ -241,9 +242,11 @@ def read_dataset_csv(path: str, mode: str) -> Dataset:
     Raises DatasetValidationError for a wrong header, a record with the
     wrong number of fields (``record_index`` counts records, so blank lines
     are skipped) or no records, and ValueError for a cell that is not a
-    number.
+    number.  Raises DatasetValidationError for a ``mode`` other than
+    ``single`` or ``double`` before anything is read.
     """
-    mode = SINGLE if mode == SINGLE else DOUBLE
+    if mode not in _HEADERS:
+        raise DatasetValidationError(f"unknown mode {mode!r}")
     expected = _HEADERS[mode]
     width = len(expected)
     with open(path, "rb") as fh:
@@ -315,18 +318,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _fit(data: Dataset, m1, config: SolverConfig):
+def _fit(data: Dataset, m1):
     """(weights, mass, trace) of the fit of ``data`` on its candidate grid."""
     weights = build_weight_matrix(data, candidate_grid(data, m1))
-    mass, trace = fit_weights(weights, config)
+    mass, trace = fit_weights(weights)
     return weights, mass, trace
 
 
 def cmd_fit(args) -> int:
     data = read_dataset_csv(args.data, args.mode)
-    config = SolverConfig(tol=args.tol, max_outer=args.max_outer)
     try:
-        weights, mass, trace = _fit(data, args.m1, config)
+        weights, mass, trace = _fit(data, args.m1)
     except NonConvergenceError as exc:
         # keep the partial trace; main maps the error to its exit code
         if args.trace_out and exc.trace is not None:
@@ -340,12 +342,14 @@ def cmd_fit(args) -> int:
 
 
 def _check_interval_args(args) -> None:
-    """Reject bad interval arguments before any data is read or fitted."""
-    if not 0.0 < args.level < 1.0:
-        raise ValueError("--level must be in (0, 1)")
-    for day in args.points or []:
-        if day < 1 or (args.m1 is not None and day > args.m1):
-            raise ValueError(f"evaluation day {day} outside 1..{args.m1 or 'm1'}")
+    """Reject bad interval arguments before any data is read or fitted.
+
+    Without ``--m1`` the horizon comes from the data, so only a day below 1
+    fails here; the grid's horizon is checked once the data is read.
+    """
+    points = args.points or []
+    horizon = args.m1 if args.m1 is not None else max(points, default=1)
+    _check_level_and_days(args.level, points, horizon)
     if args.method == "bootstrap" and args.b < 2:
         raise ValueError("--method bootstrap needs --b >= 2")
     if args.fisher_averaged:
@@ -374,7 +378,7 @@ def _interval_table(weights, mass, args, points):
 def cmd_ci(args) -> int:
     _check_interval_args(args)
     data = read_dataset_csv(args.data, args.mode)
-    weights, mass, _ = _fit(data, args.m1, SolverConfig())
+    weights, mass, _ = _fit(data, args.m1)
     horizon = weights.grid.horizon
     points = args.points if args.points is not None else list(range(1, horizon + 1))
     _interval_table(weights, mass, args, points).to_csv(args.out)
@@ -383,6 +387,8 @@ def cmd_ci(args) -> int:
 
 def cmd_coverage(args) -> int:
     _check_interval_args(args)
+    if min(args.reps, args.n) < 1:
+        raise ValueError("--reps and --n must be >= 1")
     truth = _truth_spec(args)
     exposure = ExposureSpec(m2=args.m2)
     points = args.points if args.points is not None else list(range(1, truth.m1 + 1))
@@ -395,7 +401,7 @@ def cmd_coverage(args) -> int:
     for rep in range(args.reps):
         try:
             data = draw(args.n, truth, exposure, [args.seed, rep])
-            weights, mass, _ = _fit(data, truth.m1, SolverConfig())
+            weights, mass, _ = _fit(data, truth.m1)
             table = _interval_table(weights, mass, args, points)
         except IncutimeError:
             failures += 1
@@ -487,8 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--m1", type=int, default=None,
         help="incubation support bound (default: inferred from the data)",
     )
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-outer", type=int, default=500)
     p.add_argument("--out", required=True, help="estimate CSV path")
     p.add_argument("--trace-out", default=None, help="iteration trace path")
     p.set_defaults(func=cmd_fit)

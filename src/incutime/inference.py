@@ -118,7 +118,7 @@ def averaged_inverse_information(
     Replicates come from the bootstrap's replicate engine: each one is a
     count vector over the rows of the fit's weight matrix, so no dataset is
     copied and no weight is evaluated twice, and the engine refits them
-    together at the default ``SolverConfig``, starting at ``masses`` with
+    together at the solver's one tolerance, starting at ``masses`` with
     their support as the first working set.  The ``PairProducts`` of the
     support's centered columns are built once, and the matrices of each
     batch of refits the engine yields are formed together from them, then

@@ -185,6 +185,8 @@ class Grid:
     m1: int | None = None  # upper bound of the incubation support, if known
 
     def __post_init__(self):
+        if self.m1 is not None and self.m1 < 1:
+            raise ValueError("m1 must be >= 1")
         pts = _as_int_column(np.asarray(self.points), "grid point")
         if pts.size == 0:
             raise ValueError("grid must contain at least one point")

@@ -11,7 +11,7 @@ is certified by the two cone optimality conditions
     (i)  dphi/dp_j >= 0 for every grid point j,
     (ii) sum_j p_j dphi/dp_j = 0,
 
-both enforced at ``SolverConfig.tol``.  Each outer iteration minimizes the
+both enforced at ``TOL``.  Each outer iteration minimizes the
 local quadratic expansion of phi over the cone by alternately growing and
 shrinking a candidate support set, then takes a backtracking (Armijo) step
 toward the subproblem solution.  Every fit's first inner pass starts on
@@ -81,23 +81,13 @@ from .model import Dataset, Grid, MassFunction
 from .weights import WeightMatrix, build_weight_matrix
 
 
+TOL = 1e-10  # certificate tolerance of both optimality conditions
+MAX_OUTER = 500  # outer iteration cap
 ARMIJO_C = 1e-4  # sufficient-decrease constant of the line search
 ARMIJO_SHRINK = 0.5  # step shrink factor of the line search
 INNER_TOL = 1e-12  # gradient tolerance of the quadratic subproblem
 _TINY = np.nextafter(0.0, 1.0)
 _RESOLUTION = 8.0 * np.finfo(float).eps  # relative resolution of a criterion value
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunable knobs for the support reduction solver.
-
-    tol:         certificate tolerance for both optimality conditions
-    max_outer:   outer iteration cap
-    """
-
-    tol: float = 1e-10
-    max_outer: int = 500
 
 
 @dataclass(frozen=True)
@@ -488,10 +478,7 @@ def _trace(history: list, r: int, final_masses: np.ndarray, converged=False):
 
 
 def _minimize_batch(
-    weights: WeightMatrix,
-    counts: np.ndarray,
-    config: SolverConfig,
-    start: np.ndarray | None = None,
+    weights: WeightMatrix, counts: np.ndarray, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, list, list]:
     """Certified minimizers of phi for a batch of replicates, in lockstep.
 
@@ -544,7 +531,7 @@ def _minimize_batch(
     while True:
         # the one place where replicates leave the batch: those certified,
         # and those that failed in the previous iteration
-        leaving = failed | ~((min_grad < -config.tol) | (comp > config.tol))
+        leaving = failed | ~((min_grad < -TOL) | (comp > TOL))
         if np.count_nonzero(leaving):
             masses[ids[leaving]] = p[leaving]
             keep = (~leaving).nonzero()[0]
@@ -554,10 +541,10 @@ def _minimize_batch(
                 a[keep] for a in (ids, p, terms, counts, n, grad, value, supports)
             )
         iteration += 1
-        if iteration > config.max_outer:
+        if iteration > MAX_OUTER:
             for i, r in enumerate(ids):
                 errors[r] = NonConvergenceError(
-                    f"no optimality certificate after {config.max_outer} outer iterations",
+                    f"no optimality certificate after {MAX_OUTER} outer iterations",
                     trace=_trace(history, r, p[i]),
                 )
             break
@@ -587,30 +574,25 @@ def _minimize_batch(
 
 
 def _minimize(
-    weights: WeightMatrix, config: SolverConfig, start: np.ndarray | None = None
+    weights: WeightMatrix, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, IterationTrace]:
     """Certified minimizer of phi over the cone and the outer iteration trace.
 
     The batch of one with the matrix's own counts; raises what ends its
     fit.  ``start`` is as for ``_minimize_batch``.
     """
-    masses, errors, history = _minimize_batch(
-        weights, weights.counts[None], config, start
-    )
+    masses, errors, history = _minimize_batch(weights, weights.counts[None], start)
     if errors[0] is not None:
         raise errors[0]
     return masses[0], _trace(history, 0, masses[0].copy(), converged=True)
 
 
-def fit_weights(
-    weights: WeightMatrix, config: SolverConfig | None = None
-) -> tuple[MassFunction, IterationTrace]:
+def fit_weights(weights: WeightMatrix) -> tuple[MassFunction, IterationTrace]:
     """Maximum likelihood masses for the records behind a weight matrix.
 
     The matrix is the one likelihood representation of a fit: the Wald
     information, Fisher averaging and the bootstrap take the same matrix.
-    ``config`` holds the solver tolerances; the defaults certify optimality
-    at 1e-10.
+    Every fit is certified at ``TOL`` = 1e-10.
 
     Returns
     -------
@@ -621,22 +603,20 @@ def fit_weights(
     Raises
     ------
     NonConvergenceError
-        If no certificate is reached within ``config.max_outer`` iterations,
-        or the quadratic subproblem does not settle.
+        If no certificate is reached within ``MAX_OUTER`` iterations, or the
+        quadratic subproblem does not settle.
     """
-    masses, trace = _minimize(weights, config or SolverConfig())
+    masses, trace = _minimize(weights)
     positive = masses > 0.0
     fitted = MassFunction(support=weights.grid.points[positive], probs=masses[positive])
     return fitted, trace
 
 
-def fit_npmle(
-    data: Dataset, grid: Grid, config: SolverConfig | None = None
-) -> tuple[MassFunction, IterationTrace]:
+def fit_npmle(data: Dataset, grid: Grid) -> tuple[MassFunction, IterationTrace]:
     """Maximum likelihood masses for a validated dataset on a grid.
 
     ``fit_weights`` of ``build_weight_matrix(data, grid)``; raises
     InfeasibleRecordError if some record has zero weight at every grid
     point, and otherwise what ``fit_weights`` raises.
     """
-    return fit_weights(build_weight_matrix(data, grid), config)
+    return fit_weights(build_weight_matrix(data, grid))

@@ -21,7 +21,6 @@ from incutime.bootstrap import (
 )
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 from incutime.solver import (
-    SolverConfig,
     _inner_loop,
     _minimize,
     _minimize_batch,
@@ -184,19 +183,18 @@ def test_replicate_refits_are_fits_of_the_drawn_rows(draw):
     data = draw(300, TRUNCEXP, ExposureSpec(m2=15), seed=88)
     grid = candidate_grid(data, m1=15)
     W = build_weight_matrix(data, grid)
-    config = SolverConfig()
-    _, point_trace = fit_weights(W, config)
+    _, point_trace = fit_weights(W)
     p_hat = point_trace.final_masses
     replicates = replicate_results(W, 3, 4, p_hat)
     for k, (counts, masses) in enumerate(replicates):
         assert np.array_equal(counts, _replicate_counts(W, 3, k))
-        alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
+        alone, errors, _ = _minimize_batch(W, counts[None], p_hat)
         assert errors == [None]
         assert np.array_equal(masses, alone[0])
         drawn = build_weight_matrix(resample(data, 3, k), grid)
         min_grad, comp = fenchel_residuals(masses, drawn)
         assert min_grad >= -1e-10 and comp <= 1e-10
-        _, cold = fit_weights(drawn, config)
+        _, cold = fit_weights(drawn)
         np.testing.assert_allclose(
             drawn.dense @ masses, drawn.dense @ cold.final_masses, rtol=0, atol=1e-8
         )
@@ -211,14 +209,13 @@ def test_replicate_refits_are_their_batches_of_one_on_both_gram_paths(monkeypatc
 
     data = draw_doubly(300, TRUNCEXP, ExposureSpec(m2=15), seed=92)
     W = build_weight_matrix(data, candidate_grid(data, m1=15))
-    config = SolverConfig()
     if bound is not None:
         monkeypatch.setattr(linalg_module, "TABLE_BYTES", bound)
     assert (linalg_module.PairProducts(W.dense).table is None) == (bound == 0)
-    _, point_trace = fit_weights(W, config)
+    _, point_trace = fit_weights(W)
     p_hat = point_trace.final_masses
     for counts, masses in replicate_results(W, 9, 6, p_hat):
-        alone, errors, _ = _minimize_batch(W, counts[None], config, p_hat)
+        alone, errors, _ = _minimize_batch(W, counts[None], p_hat)
         assert errors == [None]
         assert np.array_equal(masses, alone[0])
 
@@ -233,8 +230,7 @@ def test_batched_replicates_across_the_batch_cap_are_fits_of_their_resamples(dra
     data = draw(120, TRUNCEXP, ExposureSpec(m2=15), seed=89)
     grid = candidate_grid(data, m1=15)
     W = build_weight_matrix(data, grid)
-    config = SolverConfig()
-    _, point_trace = fit_weights(W, config)
+    _, point_trace = fit_weights(W)
     p_hat = point_trace.final_masses
     b = BATCH_CAP + 44
     replicates = replicate_results(W, 5, b, p_hat)
@@ -243,11 +239,11 @@ def test_batched_replicates_across_the_batch_cap_are_fits_of_their_resamples(dra
         drawn = build_weight_matrix(resample(data, 5, k), grid)
         min_grad, comp = fenchel_residuals(masses, drawn)
         assert min_grad >= -1e-10 and comp <= 1e-10
-        warm, _ = _minimize(drawn, config, start=p_hat)
+        warm, _ = _minimize(drawn, start=p_hat)
         np.testing.assert_allclose(
             drawn.dense @ masses, drawn.dense @ warm, rtol=0, atol=1e-10
         )
-        _, cold = fit_weights(drawn, config)
+        _, cold = fit_weights(drawn)
         np.testing.assert_allclose(
             drawn.dense @ masses, drawn.dense @ cold.final_masses, rtol=0, atol=1e-8
         )
@@ -260,8 +256,7 @@ def test_replicate_failing_mid_batch_leaves_the_others_bit_for_bit(monkeypatch):
 
     data = draw_doubly(300, TRUNCEXP, ExposureSpec(m2=15), seed=90)
     W = build_weight_matrix(data, candidate_grid(data, m1=15))
-    config = SolverConfig()
-    mass, _ = fit_weights(W, config)
+    mass, _ = fit_weights(W)
     start = mass.as_vector(W.grid)
     unforced = replicate_results(W, 7, 12, start)
     models = []

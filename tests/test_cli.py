@@ -108,6 +108,12 @@ def test_read_dataset_rejects_wrong_header(tmp_path):
         read_dataset_csv(str(path), "single")
 
 
+def test_read_dataset_rejects_an_unknown_mode_before_reading(tmp_path):
+    # the file does not exist, so opening it would raise OSError instead
+    with pytest.raises(DatasetValidationError, match="unknown mode 'Single'"):
+        read_dataset_csv(str(tmp_path / "missing.csv"), "Single")
+
+
 # (file text, mode, expected): expected is a Dataset for a file that reads,
 # else (exception class, record_index); record_index counts records, so
 # blank lines are not counted
@@ -429,15 +435,18 @@ def test_ci_bootstrap_is_reproducible(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_exit_code_non_convergence(tmp_path):
+def test_exit_code_non_convergence(tmp_path, monkeypatch):
+    import incutime.solver as solver_module
+
     data_path = str(tmp_path / "d.csv")
     out = str(tmp_path / "fit.csv")
     trace_out = tmp_path / "trace.csv"
     main(["simulate", "--mode", "single", "--n", "200", "--seed", "5",
           "--out", data_path])
+    monkeypatch.setattr(solver_module, "MAX_OUTER", 1)
     code = main(
         ["fit", "--mode", "single", "--data", data_path, "--m1", "15",
-         "--max-outer", "1", "--out", out, "--trace-out", str(trace_out)]
+         "--out", out, "--trace-out", str(trace_out)]
     )
     assert code == 2
     # the partial trace is still written: the header and the one iteration
@@ -547,6 +556,38 @@ def test_exit_code_invalid_input(tmp_path):
          "--level", "1.5", "--out", out]
     ) == 3
     assert main(["fit", "--no-such-flag"]) == 3
+    # the solver takes no settings: every fit is certified at one tolerance
+    assert main(["fit", "--mode", "single", "--data", data_path,
+                 "--tol", "inf", "--out", out]) == 3
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--data", "{data}", "--m1", "0"],
+        ["ci", "--data", "{data}", "--method", "wald", "--m1", "0"],
+        ["coverage", "--method", "wald", "--n", "30", "--reps", "0"],
+        ["coverage", "--method", "wald", "--n", "0", "--reps", "2"],
+    ],
+    ids=["fit-m1-0", "ci-m1-0", "coverage-reps-0", "coverage-n-0"],
+)
+def test_counts_below_1_exit_3_with_one_error_line(
+    tmp_path, monkeypatch, capsys, argv
+):
+    data_path = str(tmp_path / "d.csv")
+    out = tmp_path / "out.csv"
+    main(["simulate", "--mode", "single", "--n", "50", "--seed", "5",
+          "--out", data_path])
+    draws = []
+    monkeypatch.setattr(incutime.cli, "draw_singly", lambda *a: draws.append(a))
+    capsys.readouterr()
+    argv = [arg.format(data=data_path) for arg in argv]
+    assert main([*argv, "--mode", "single", "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+    assert draws == []
 
 
 # the documented exit code of every package error, by class
@@ -571,7 +612,7 @@ def test_exit_codes_cover_every_package_error():
     "error, code", EXIT_CODES, ids=[type(exc).__name__ for exc, _ in EXIT_CODES]
 )
 def test_exit_code_for_every_package_error(tmp_path, monkeypatch, capsys, error, code):
-    def raises(weights, config=None):
+    def raises(weights):
         raise error
 
     path = tmp_path / "d.csv"

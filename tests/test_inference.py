@@ -11,7 +11,6 @@ from incutime import (
     MassFunction,
     NonConvergenceError,
     SingularMatrixError,
-    SolverConfig,
     build_weight_matrix,
     candidate_grid,
     cdf_covariance,
@@ -95,13 +94,12 @@ def test_averaged_single_replicate_equals_inverse_of_that_resample():
     grid = candidate_grid(data, m1=15)
     mass, _ = fit_npmle(data, grid)
     p_hat = mass.as_vector(grid)
-    config = SolverConfig()
     averaged, skipped = averaged_inverse_information(
         build_weight_matrix(data, grid), p_hat, b=1, seed=63
     )
     assert skipped == 0
     replicate = build_weight_matrix(resample(data, 63, 0), grid)
-    rep_masses, _ = _minimize(replicate, config, start=p_hat)
+    rep_masses, _ = _minimize(replicate, start=p_hat)
     plain = observed_fisher(replicate, rep_masses, mass.support)
     # the replicate's sums run over the fit's rows, the rebuilt matrix's in
     # their own order, so the two agree to rounding

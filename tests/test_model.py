@@ -184,6 +184,14 @@ def test_grid_rejects_unsorted_points():
         Grid(points=[3, 2])
 
 
+@pytest.mark.parametrize("m1", [0, -20])
+def test_grid_rejects_m1_below_1_first(m1):
+    # checked before the points, so a negative m1 is not reported as an
+    # empty grid
+    with pytest.raises(ValueError, match="m1 must be >= 1"):
+        Grid(points=np.arange(1, m1 + 6), m1=m1)
+
+
 def test_mass_function_prunes_zero_masses():
     mass = MassFunction([1, 2, 3], [0.5, 0.0, 0.5])
     assert np.array_equal(mass.support, [1, 3])

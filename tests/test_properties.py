@@ -35,7 +35,6 @@ from incutime.bootstrap import _replicate_counts, _replicate_indices  # noqa: E4
 from incutime.cli import _parse_body, _read_canonical  # noqa: E402
 from incutime.em import fit_em  # noqa: E402
 from incutime.solver import (  # noqa: E402
-    SolverConfig,
     _minimize,
     _minimize_batch,
     _kept_columns,
@@ -219,14 +218,13 @@ def test_refit_started_at_the_fit_certifies_whenever_a_cold_refit_does(data, see
     grid = candidate_grid(data)
     W = weights_or_skip(data, grid)
     counts = _replicate_counts(W, seed, 0)[None]
-    config = SolverConfig()
     try:
-        p_hat, _ = _minimize(W, config)
+        p_hat, _ = _minimize(W)
     except NonConvergenceError:
         assume(False)
-    _, cold_errors, _ = _minimize_batch(W, counts, config)
+    _, cold_errors, _ = _minimize_batch(W, counts)
     assume(cold_errors == [None])
-    warm, errors, _ = _minimize_batch(W, counts, config, start=p_hat)
+    warm, errors, _ = _minimize_batch(W, counts, start=p_hat)
     assert errors == [None]
     sub = build_weight_matrix(data.take(_replicate_indices(seed, 0, W.n)), grid)
     min_grad, comp = fenchel_residuals(warm[0], sub)

@@ -9,7 +9,6 @@ from incutime import (
     Dataset,
     Grid,
     NonConvergenceError,
-    SolverConfig,
     build_weight_matrix,
     candidate_grid,
     fit_npmle,
@@ -171,10 +170,9 @@ def test_inner_loop_reaches_both_blocks():
 
 def test_outer_iterations_converge_to_multinomial_proportions():
     W = two_block_weights()
-    config = SolverConfig()
     from incutime.solver import _minimize
 
-    masses, trace = _minimize(W, config)
+    masses, trace = _minimize(W)
     assert trace.converged
     assert np.allclose(masses, [0.75, 0.25], atol=1e-9)
 
@@ -452,16 +450,15 @@ def test_stalled_line_search_ends_only_its_replicate(monkeypatch):
     truth = TruthSpec(family="weibull", a=WEIBULL_A, b=WEIBULL_B, m1=15)
     data = draw_singly(300, truth, ExposureSpec(m2=15), 41)
     W = build_weight_matrix(data, candidate_grid(data, m1=15))
-    config = SolverConfig()
-    start, _ = solver_module._minimize(W, config)
+    start, _ = solver_module._minimize(W)
     counts = np.array([_replicate_counts(W, 9, k) for k in range(5)], float)
-    unforced, errors, history = solver_module._minimize_batch(W, counts, config, start)
+    unforced, errors, history = solver_module._minimize_batch(W, counts, start)
     assert errors == [None] * 5
     assert len(solver_module._trace(history, 2, None).rows) >= 2
     # the iterate replicate 2 holds after its first iteration
-    _, capped, _ = solver_module._minimize_batch(
-        W, counts, SolverConfig(max_outer=1), start
-    )
+    with monkeypatch.context() as capped_run:
+        capped_run.setattr(solver_module, "MAX_OUTER", 1)
+        _, capped, _ = solver_module._minimize_batch(W, counts, start)
     first_iterate = capped[2].trace.final_masses
 
     searches = []
@@ -480,7 +477,7 @@ def test_stalled_line_search_ends_only_its_replicate(monkeypatch):
 
     monkeypatch.setattr(solver_module, "armijo_search", counted)
     monkeypatch.setattr(solver_module, "_trial", failing_for_replicate_2)
-    forced, errors, _ = solver_module._minimize_batch(W, counts, config, start)
+    forced, errors, _ = solver_module._minimize_batch(W, counts, start)
     assert isinstance(errors[2], NonConvergenceError)
     assert "line search stalled" in str(errors[2])
     expected = solver_module._trace(history, 2, None).rows[:1]
@@ -518,7 +515,7 @@ def test_infeasible_line_search_trial_looks_up_no_record(monkeypatch):
 
     monkeypatch.setattr(WeightMatrix, "record_of", counted)
     monkeypatch.setattr(solver_module, "_trial", recorded)
-    masses, _ = solver_module._minimize(W, SolverConfig())
+    masses, _ = solver_module._minimize(W)
     assert np.inf in values
     assert lookups == []
     np.testing.assert_allclose(masses, [0.2, 0.8], rtol=0, atol=1e-15)
@@ -571,12 +568,15 @@ def test_fit_subproblem_fixed_point():
     assert np.allclose(again, p[support], atol=1e-9)
 
 
-def test_fit_raises_with_trace_on_iteration_cap():
+def test_fit_raises_with_trace_on_iteration_cap(monkeypatch):
+    import incutime.solver as solver_module
+
     truth = TruthSpec(family="weibull", a=WEIBULL_A, b=WEIBULL_B, m1=15)
     data = draw_singly(200, truth, ExposureSpec(m2=15), 24)
     grid = candidate_grid(data, m1=15)
+    monkeypatch.setattr(solver_module, "MAX_OUTER", 1)
     with pytest.raises(NonConvergenceError) as err:
-        fit_npmle(data, grid, SolverConfig(max_outer=1))
+        fit_npmle(data, grid)
     assert err.value.trace is not None
     assert len(err.value.trace.rows) == 1
 
@@ -661,7 +661,7 @@ def test_warm_start_with_an_empty_first_working_set_reaches_the_certificate(
         return inner_loop(model, on, inner_tol)
 
     monkeypatch.setattr(solver_module, "_inner_loop", emptied)
-    masses, trace = solver_module._minimize(W, SolverConfig(), start=start)
+    masses, trace = solver_module._minimize(W, start=start)
     assert passes[0] == []
     assert trace.converged
     min_grad, comp = fenchel_residuals(masses, W)
@@ -685,7 +685,7 @@ def test_point_fit_first_inner_pass_starts_on_every_kept_day(monkeypatch):
         return inner_loop(model, on, inner_tol)
 
     monkeypatch.setattr(solver_module, "_inner_loop", recorded)
-    solver_module._minimize(W, SolverConfig())
+    solver_module._minimize(W)
     assert starts[0].shape == (1, kept.size)
     assert starts[0].all()
     assert len(starts) > 1 and not starts[-1].all()
@@ -698,7 +698,7 @@ def test_warm_start_with_its_support_as_first_working_set_reaches_the_certificat
     from incutime.solver import _minimize
 
     W, start = _one_window_record_started_on_days_3_and_5()
-    masses, trace = _minimize(W, SolverConfig(), start=start)
+    masses, trace = _minimize(W, start=start)
     assert trace.converged
     min_grad, comp = fenchel_residuals(masses, W)
     assert min_grad >= -1e-10 and comp <= 1e-10
@@ -716,9 +716,9 @@ def test_refit_whose_added_point_depends_on_the_start_support_converges():
     data = validate_dataset(Dataset.doubly([5, 5, 2, 2], [4, 0, 2, 1], [9, 3, 3, 8]))
     grid = candidate_grid(data)
     W = build_weight_matrix(data, grid)
-    p_hat, _ = _minimize(W, SolverConfig())
+    p_hat, _ = _minimize(W)
     counts = _replicate_counts(W, 1003, 1)
-    masses, errors, _ = _minimize_batch(W, counts[None], SolverConfig(), start=p_hat)
+    masses, errors, _ = _minimize_batch(W, counts[None], start=p_hat)
     assert errors == [None]
     idx = _replicate_indices(1003, 1, W.n)
     sub = build_weight_matrix(data.take(idx), grid)
@@ -741,17 +741,17 @@ def test_warm_start_mass_on_a_dominated_day_stays_feasible_and_certifies():
     start = np.array([0.0, 0.9, 0.1])
     assert _kept_columns(W.dense, None).tolist() == [2]
     assert _kept_columns(W.dense, start).tolist() == [1, 2]
-    masses, trace = _minimize(W, SolverConfig(), start=start)
+    masses, trace = _minimize(W, start=start)
     assert trace.converged
     assert masses[:2].tolist() == [0.0, 0.0]
     assert masses[2] == pytest.approx(1.0, abs=1e-10)
     min_grad, comp = fenchel_residuals(masses, W)
     assert min_grad >= -1e-10 and comp <= 1e-10
     counts = np.array([[2.0, 0.0], [1.0, 1.0]])
-    batch, errors, _ = _minimize_batch(W, counts, SolverConfig(), start=start)
+    batch, errors, _ = _minimize_batch(W, counts, start=start)
     assert errors == [None, None]
     for r in range(2):
-        alone, _, _ = _minimize_batch(W, counts[r : r + 1], SolverConfig(), start=start)
+        alone, _, _ = _minimize_batch(W, counts[r : r + 1], start=start)
         assert np.array_equal(batch[r], alone[0])
 
 
