@@ -8,7 +8,7 @@ and bootstrap confidence intervals, a truncated exponential parametric
 baseline, and a simulation engine for coverage studies.
 """
 
-from .bootstrap import BootstrapConfig, bootstrap_ci, resample
+from .bootstrap import bootstrap_ci, resample
 from .errors import (
     BootstrapFailureError,
     DatasetValidationError,
@@ -74,7 +74,6 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BootstrapConfig",
     "BootstrapFailureError",
     "Dataset",
     "DatasetValidationError",

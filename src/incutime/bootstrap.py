@@ -21,32 +21,23 @@ same certificate.
 ``refit_replicates`` is the one replicate engine behind both the bootstrap
 and Fisher averaging, certifying every refit at the solver's one tolerance
 as the point fit does, and ``check_replicate_failures`` their one failure
-policy.  The interval rows are built by ``IntervalTable.from_bounds``, as
-the Wald rows are, so this module needs nothing from ``inference``, which
-imports the engine from here.
+policy.  ``bootstrap_ci`` takes the point fit and its weight matrix, as
+``fisher_result`` does, and never fits one itself.  The interval rows are
+built by ``IntervalTable.from_bounds``, as the Wald rows are, so this
+module needs nothing from ``inference``, which imports the engine from
+here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BootstrapFailureError
-from .model import Dataset, IntervalTable, _check_level_and_days, cdf_from_mass
-from .solver import _minimize_batch, fit_weights
+from .model import (
+    Dataset, IntervalTable, MassFunction, _check_level_and_days, cdf_from_mass,
+)
+from .solver import _minimize_batch
 from .weights import WeightMatrix
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    b: int = 1000
-    seed: int = 0
-    points: tuple = None
-
-    def __post_init__(self):
-        if self.b < 2:
-            raise ValueError("bootstrap needs at least 2 replicates")
 
 
 def _replicate_rng(seed, replicate_index: int) -> np.random.Generator:
@@ -121,50 +112,44 @@ def check_replicate_failures(failed: int, total: int, what: str) -> None:
 
 
 def bootstrap_ci(
-    weights: WeightMatrix, config: BootstrapConfig, level: float = 0.95, mass=None
+    weights: WeightMatrix, mass: MassFunction, b: int, seed=0, points=None, level=0.95
 ) -> IntervalTable:
-    """Percentile bootstrap intervals at the requested days.
+    """Percentile bootstrap intervals from ``b`` replicates at the requested days.
 
-    ``weights`` is the fit's matrix; the days default to 1..the grid's
-    horizon.  The level and the days are checked before anything is
-    fitted, and the point estimate is refitted from the matrix when
-    ``mass`` is omitted.  Every replicate refit starts at the point
-    estimate's masses, so a supplied ``mass`` must give every record a
-    positive probability (ValueError otherwise).  Raises
-    BootstrapFailureError when more than 10 percent of replicates fail to
-    refit; failures below that threshold are dropped from the quantiles.
+    ``weights`` is the matrix the point estimate ``mass`` was fitted on;
+    the days default to 1..the grid's horizon.  ``b`` (at least 2), the
+    level and the days are checked before any replicate is drawn.  Every
+    replicate refit starts at the point estimate's masses, so ``mass`` must
+    give every record a positive probability (ValueError otherwise).
+    Raises BootstrapFailureError when more than 10 percent of replicates
+    fail to refit; failures below that threshold are dropped from the
+    quantiles.
     """
+    if b < 2:
+        raise ValueError("bootstrap needs at least 2 replicates")
     grid = weights.grid
     horizon = grid.horizon
-    points = config.points if config.points is not None else range(1, horizon + 1)
-    points = _check_level_and_days(level, points, horizon)
-    if mass is None:
-        mass, _ = fit_weights(weights)
-    fhat = cdf_from_mass(mass, grid)
-
-    estimates = np.array([fhat.value(d) for d in points])
-    # grid point j covers days grid.points[j] ..; value at day d is the
-    # partial sum over grid points <= d.
-    below = np.searchsorted(grid.points, points, side="right")
+    if points is None:
+        points = range(1, horizon + 1)
+    days = np.array(_check_level_and_days(level, points, horizon), int)
+    estimates = cdf_from_mass(mass, grid).value_at(days)
     deltas = []
     failed = 0
-    replicates = refit_replicates(weights, config.seed, config.b, mass.as_vector(grid))
-    for _, probs, ok in replicates:
+    for _, probs, ok in refit_replicates(weights, seed, b, mass.as_vector(grid)):
         failed += int(np.count_nonzero(~ok))
         rep_cdf = np.minimum(np.cumsum(probs[ok], axis=1), 1.0)
-        rep_values = np.where(below > 0, rep_cdf[:, np.maximum(below - 1, 0)], 0.0)
-        deltas.append(rep_values - estimates)
-    check_replicate_failures(failed, config.b, "bootstrap replicates failed to refit")
+        deltas.append(rep_cdf[:, days - 1] - estimates)
+    check_replicate_failures(failed, b, "bootstrap replicates failed to refit")
     deltas = np.concatenate(deltas)
     alpha = 1.0 - level
     lo_q = np.quantile(deltas, alpha / 2.0, axis=0)
     hi_q = np.quantile(deltas, 1.0 - alpha / 2.0, axis=0)
     return IntervalTable.from_bounds(
-        points,
+        days,
         estimates,
         estimates - hi_q,
         estimates - lo_q,
         weights.n * np.var(deltas, axis=0, ddof=1),
         "bootstrap",
-        {"n": weights.n, "level": level, "replicates": config.b, "failed": failed},
+        {"n": weights.n, "level": level, "replicates": b, "failed": failed},
     )

@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, bootstrap_ci
+from .bootstrap import bootstrap_ci
 from .errors import (
     DatasetValidationError,
     DegenerateFitError,
@@ -175,7 +175,8 @@ def _parse_canonical_block(chunk: np.ndarray, stop_bytes: bytes, block) -> bool:
 
 def _read_canonical(raw: bytes, header: list) -> np.ndarray | None:
     """The records of a canonical file as an int64 (records, width) array,
-    or None for any other file.
+    or None for any other file.  The array is column-major, so each
+    record column that validation reads is contiguous.
 
     Goes through the body in chunks of whole records of about
     ``_CHUNK_BYTES`` bytes; their line ends are counted first, so the result
@@ -202,7 +203,8 @@ def _read_canonical(raw: bytes, header: list) -> np.ndarray | None:
     if not spans:
         return None
     missing = not raw.endswith(line_end)  # the last record's line end
-    out = np.empty((sum(rows for *_, rows in spans) + missing, width), np.int64)
+    total = sum(rows for *_, rows in spans) + missing
+    out = np.empty((total, width), np.int64, order="F")
     stop_bytes = b"," * (width - 1) + line_end
     row = 0
     for start, end, rows in spans:
@@ -287,11 +289,8 @@ def _write_estimate_csv(path, mass, fhat, grid) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["day", "mass", "fbar"])
-        for day in grid.points:
-            day = int(day)
-            writer.writerow(
-                [day, f"{mass.mass_at(day):.12g}", f"{fhat.value(day):.12g}"]
-            )
+        for day, p, f in zip(grid.points.tolist(), mass.as_vector(grid), fhat.values):
+            writer.writerow([day, f"{p:.12g}", f"{f:.12g}"])
 
 
 def _truth_spec(args) -> TruthSpec:
@@ -371,8 +370,7 @@ def _interval_table(weights, mass, args, points):
         )
         fhat = cdf_from_mass(mass, weights.grid)
         return wald_intervals(fhat, result.variances, weights.n, points, args.level)
-    config = BootstrapConfig(b=args.b, seed=args.seed, points=tuple(points))
-    return bootstrap_ci(weights, config, args.level, mass=mass)
+    return bootstrap_ci(weights, mass, args.b, args.seed, points, args.level)
 
 
 def cmd_ci(args) -> int:

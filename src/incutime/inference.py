@@ -5,7 +5,7 @@ at the first l - 1 points (the last one is determined by normalization).
 The observed information matrix is inverted and mapped through partial sums
 to a covariance for the day CDF values at the mass points; step-function
 extension then yields a variance for every day up to the grid's horizon
-(``Grid.horizon``: m1 when it is set, else the last grid point), and Wald
+(``Grid.horizon``: m1 when it is set, else the grid's top day), and Wald
 intervals follow after dividing by the sample size.
 
 Everything here consumes the fit's ``WeightMatrix`` and its grid mass
@@ -72,10 +72,9 @@ def _centered_columns(weights: WeightMatrix, support) -> np.ndarray:
     support = np.asarray(support, dtype=int)
     if support.size < 2:
         raise DegenerateFitError("information matrix needs at least 2 mass points")
-    points = weights.grid.points
-    if not np.isin(support, points).all():
+    if support.min() < 1 or support.max() > weights.m:
         raise ValueError("support days must be grid points")
-    at_support = weights.dense[:, np.searchsorted(points, support)]
+    at_support = weights.dense[:, support - 1]
     return at_support[:, :-1] - at_support[:, [-1]]
 
 

@@ -67,9 +67,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.e.shape[0])
 
-    def __len__(self) -> int:
-        return self.n
-
     @classmethod
     def from_columns(cls, mode: str, columns) -> "Dataset":
         """The dataset of ``mode`` whose ``columns`` are the given ones."""
@@ -103,14 +100,14 @@ def _as_int_column(values: np.ndarray, name: str) -> np.ndarray:
     an integer of magnitude below 2**53.
 
     A non-finite entry is rejected the same way, so the cast never wraps
-    anything around.
+    anything around.  An int64 column is returned as it is, not copied.
     """
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
         # min and max neither wrap at -2**63, as np.abs does, nor leave
         # n-sized temporaries on the heap for a valid column
         if not arr.size or (-_DAY_LIMIT < arr.min() and arr.max() < _DAY_LIMIT):
-            return arr.astype(np.int64)
+            return arr.astype(np.int64, copy=False)
         bad = np.flatnonzero((arr <= -_DAY_LIMIT) | (arr >= _DAY_LIMIT))
     else:
         rounded = np.floor(arr)
@@ -120,7 +117,7 @@ def _as_int_column(values: np.ndarray, name: str) -> np.ndarray:
             f"{name} = {arr[bad[0]]} is not an integer of magnitude below 2**53",
             record_index=int(bad[0]),
         )
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 def validate_dataset(data: Dataset) -> Dataset:
@@ -173,37 +170,35 @@ def validate_dataset(data: Dataset) -> Dataset:
             f"onset window requires s_l < s_r, got ({s_l[bad[0]]}, {s_r[bad[0]]})",
             record_index=int(bad[0]),
         )
-    s_l = np.maximum(s_l, 0)
+    if s_l.min() < 0:
+        s_l = np.maximum(s_l, 0)
     return Dataset.doubly(e, s_l, s_r)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Candidate mass point days, strictly increasing positive integers."""
+    """Candidate mass point days 1..``top``: day d is column d - 1 of every
+    weight matrix and grid mass vector."""
 
-    points: np.ndarray
+    top: int
     m1: int | None = None  # upper bound of the incubation support, if known
 
     def __post_init__(self):
         if self.m1 is not None and self.m1 < 1:
             raise ValueError("m1 must be >= 1")
-        pts = _as_int_column(np.asarray(self.points), "grid point")
-        if pts.size == 0:
-            raise ValueError("grid must contain at least one point")
-        if np.any(np.diff(pts) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if pts[0] < 1:
-            raise ValueError("grid points must be positive days")
-        object.__setattr__(self, "points", pts)
+        if not 1 <= self.top < _DAY_LIMIT or int(self.top) != self.top:
+            raise ValueError("grid top must be an integer >= 1")
+        object.__setattr__(self, "top", int(self.top))
 
     @property
-    def size(self) -> int:
-        return int(self.points.size)
+    def points(self) -> np.ndarray:
+        """The grid days 1..top."""
+        return np.arange(1, self.top + 1)
 
     @property
     def horizon(self) -> int:
-        """Last day that intervals cover: ``m1`` when set, else the last grid point."""
-        return self.m1 if self.m1 is not None else int(self.points[-1])
+        """Last day that intervals cover: ``m1`` when set, else ``top``."""
+        return self.m1 if self.m1 is not None else self.top
 
 
 def candidate_grid(data: Dataset, m1: int | None = None) -> Grid:
@@ -217,12 +212,12 @@ def candidate_grid(data: Dataset, m1: int | None = None) -> Grid:
         top = int(data.columns[-1].max())
     else:
         top = int(m1) + int(data.e.max())
-    return Grid(points=np.arange(1, top + 1), m1=m1)
+    return Grid(top, m1)
 
 
 @dataclass(frozen=True)
 class MassFunction:
-    """Discrete probability masses on integer days.
+    """Discrete probability masses on days >= 1 (ValueError otherwise).
 
     Zero-mass points are pruned on construction; the remaining masses are
     renormalized only when their sum drifts from 1 by more than 1e-12.
@@ -245,6 +240,8 @@ class MassFunction:
             support, probs = support[order], probs[order]
             if np.any(np.diff(support) <= 0):
                 raise ValueError("support days must be distinct")
+        if support[0] < 1:
+            raise ValueError("support days must be positive")
         total = probs.sum()
         if abs(total - 1.0) > 1e-12:
             probs = probs / total
@@ -255,18 +252,12 @@ class MassFunction:
     def size(self) -> int:
         return int(self.support.size)
 
-    def mass_at(self, day: int) -> float:
-        pos = np.searchsorted(self.support, day)
-        if pos < self.support.size and self.support[pos] == day:
-            return float(self.probs[pos])
-        return 0.0
-
     def as_vector(self, grid: Grid) -> np.ndarray:
         """Masses embedded into a full grid vector."""
-        if not np.isin(self.support, grid.points).all():
+        if self.support[-1] > grid.top:
             raise ValueError("mass support is not contained in the grid")
-        vec = np.zeros(grid.size)
-        vec[np.searchsorted(grid.points, self.support)] = self.probs
+        vec = np.zeros(grid.top)
+        vec[self.support - 1] = self.probs
         return vec
 
 
@@ -286,10 +277,6 @@ class DayCdf:
             raise ValueError("day CDF values must lie in [0, 1]")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def last_day(self) -> int:
-        return int(self.values.size)
-
     def value(self, day: int) -> float:
         return float(self.value_at(np.asarray(day)))
 
@@ -302,11 +289,10 @@ class DayCdf:
 
 
 def cdf_from_mass(mass: MassFunction, grid: Grid) -> DayCdf:
-    """Partial sums of the masses over the grid days 1..max(grid)."""
-    top = int(grid.points[-1])
-    if int(mass.support[-1]) > top:
+    """Partial sums of the masses over the grid days 1..top."""
+    if mass.support[-1] > grid.top:
         raise ValueError("mass support extends beyond the grid")
-    increments = np.zeros(top)
+    increments = np.zeros(grid.top)
     increments[mass.support - 1] = mass.probs
     return DayCdf(values=np.minimum(np.cumsum(increments), 1.0))
 

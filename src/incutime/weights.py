@@ -76,7 +76,8 @@ class WeightMatrix:
     """Per-pattern weights over the grid, with pattern counts.
 
     ``dense`` has one row per distinct weight row (pattern) and one column
-    per grid point; ``counts`` says how many records share each row, and
+    per grid day, day d in column d - 1 (ValueError for another width);
+    ``counts`` says how many records share each row, and
     ``record_rows`` maps every record to its row.  A matrix built by hand
     from per-record rows needs neither: counts default to ones and the
     record map lists the records row by row.
@@ -97,7 +98,9 @@ class WeightMatrix:
     record_rows: np.ndarray | None = None
 
     def __post_init__(self):
-        rows = self.dense.shape[0]
+        rows, width = self.dense.shape
+        if width != self.grid.top:
+            raise ValueError("weights need one column per grid day")
         counts = np.ones(rows) if self.counts is None else np.asarray(self.counts, float)
         if counts.shape != (rows,) or np.any(counts <= 0.0):
             raise ValueError("counts must be positive, one per row")

@@ -17,7 +17,6 @@ import pytest
 from scipy import integrate
 
 from incutime import (
-    BootstrapConfig,
     BootstrapFailureError,
     DegenerateFitError,
     InfeasibleRecordError,
@@ -46,7 +45,7 @@ from incutime.simulate import (
     draw_singly,
     true_fbar,
 )
-from incutime.solver import fenchel_residuals
+from incutime.solver import fenchel_residuals, fit_weights
 from incutime.weights import build_weight_matrix, psi_weight
 
 TOL = 1e-10
@@ -307,10 +306,9 @@ def test_criterion_08_bootstrap_coverage_single():
             data, attempt = _draw_until_feasible(draw_singly, n, 281, attempt)
             grid = candidate_grid(data, 15)
             try:
-                table = bootstrap_ci(
-                    build_weight_matrix(data, grid),
-                    BootstrapConfig(b=b, seed=[282, rep], points=DAYS),
-                )
+                weights = build_weight_matrix(data, grid)
+                mass = fit_weights(weights)[0]
+                table = bootstrap_ci(weights, mass, b, seed=[282, rep], points=DAYS)
             except (BootstrapFailureError, DegenerateFitError):
                 continue
             break

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from incutime import (
-    BootstrapConfig,
     BootstrapFailureError,
     Dataset,
     MassFunction,
@@ -65,15 +64,10 @@ def test_resample_record_frequencies():
     assert abs(hits - total / 2) < 3 * sigma
 
 
-def test_bootstrap_config_rejects_tiny_replicate_count():
-    with pytest.raises(ValueError):
-        BootstrapConfig(b=1)
-
-
 def test_bootstrap_degenerate_single_record_dataset():
     data = validate_dataset(Dataset.singly([1], [1]))
-    grid = candidate_grid(data)
-    table = bootstrap_ci(build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0))
+    weights = build_weight_matrix(data, candidate_grid(data))
+    table = bootstrap_ci(weights, fit_weights(weights)[0], b=20, seed=0)
     row = table.rows[0]
     assert row.day == 1
     assert row.lower == row.upper == row.estimate == 1.0
@@ -83,9 +77,9 @@ def test_bootstrap_degenerate_single_record_dataset():
 def test_bootstrap_interval_contains_estimate():
     data = draw_singly(300, TRUNCEXP, ExposureSpec(m2=15), seed=82)
     grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
     table = bootstrap_ci(
-        build_weight_matrix(data, grid),
-        BootstrapConfig(b=200, seed=1, points=(4, 6, 8)),
+        weights, fit_weights(weights)[0], b=200, seed=1, points=(4, 6, 8)
     )
     for row in table.rows:
         assert row.lower <= row.estimate <= row.upper
@@ -95,20 +89,11 @@ def test_bootstrap_interval_contains_estimate():
 def test_bootstrap_is_deterministic():
     data = draw_singly(200, TRUNCEXP, ExposureSpec(m2=15), seed=83)
     grid = candidate_grid(data, m1=15)
-    config = BootstrapConfig(b=60, seed=9, points=(5, 7))
     weights = build_weight_matrix(data, grid)
-    a = bootstrap_ci(weights, config)
-    b = bootstrap_ci(weights, config)
+    mass = fit_weights(weights)[0]
+    a = bootstrap_ci(weights, mass, b=60, seed=9, points=(5, 7))
+    b = bootstrap_ci(weights, mass, b=60, seed=9, points=(5, 7))
     assert a.rows == b.rows
-
-
-def test_bootstrap_internal_fit_matches_supplied_mass():
-    data = draw_singly(200, TRUNCEXP, ExposureSpec(m2=15), seed=84)
-    grid = candidate_grid(data, m1=15)
-    mass, _ = fit_npmle(data, grid)
-    config = BootstrapConfig(b=40, seed=2, points=(6,))
-    weights = build_weight_matrix(data, grid)
-    assert bootstrap_ci(weights, config) == bootstrap_ci(weights, config, mass=mass)
 
 
 def stall(model, on, inner_tol):
@@ -125,9 +110,7 @@ def test_bootstrap_fails_loudly_when_refits_collapse(monkeypatch):
     mass, _ = fit_npmle(data, grid)
     monkeypatch.setattr(solver_module, "_inner_loop", stall)
     with pytest.raises(BootstrapFailureError) as err:
-        bootstrap_ci(
-            build_weight_matrix(data, grid), BootstrapConfig(b=20, seed=0), mass=mass
-        )
+        bootstrap_ci(build_weight_matrix(data, grid), mass, b=20, seed=0)
     assert err.value.failed == 20
 
 
@@ -141,37 +124,43 @@ def test_bootstrap_counts_inner_loop_failures(monkeypatch):
     mass, _ = fit_npmle(data, grid)
     monkeypatch.setattr(solver_module, "_QuadraticModel", AddThenRefuseModel)
     with pytest.raises(BootstrapFailureError) as err:
-        bootstrap_ci(
-            build_weight_matrix(data, grid), BootstrapConfig(b=10, seed=0), mass=mass
-        )
+        bootstrap_ci(build_weight_matrix(data, grid), mass, b=10, seed=0)
     assert err.value.failed == 10
 
 
 def test_bootstrap_rejects_points_outside_horizon():
     data = draw_singly(50, TRUNCEXP, ExposureSpec(m2=15), seed=86)
-    grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, candidate_grid(data, m1=15))
     with pytest.raises(ValueError):
-        bootstrap_ci(
-            build_weight_matrix(data, grid), BootstrapConfig(b=10, seed=0, points=(16,))
-        )
+        bootstrap_ci(weights, fit_weights(weights)[0], b=10, seed=0, points=(16,))
 
 
-def test_bootstrap_checks_days_before_the_point_fit(monkeypatch):
-    # a day past the horizon is refused before the omitted mass is fitted
+@pytest.mark.parametrize(
+    "b, points, message",
+    [(1, None, "at least 2 replicates"), (2, (99,), "outside 1..15")],
+    ids=["b-1", "day-past-horizon"],
+)
+def test_bootstrap_checks_its_arguments_before_any_draw(
+    monkeypatch, b, points, message
+):
+    # too few replicates or a day past the horizon is refused before the
+    # first replicate is drawn
     import incutime.bootstrap as bootstrap_module
 
-    fits = []
+    draws = []
+    replicate_indices = bootstrap_module._replicate_indices
 
-    def counted(*args, **kwargs):
-        fits.append(args)
-        return fit_weights(*args, **kwargs)
+    def counted(seed, k, n):
+        draws.append(k)
+        return replicate_indices(seed, k, n)
 
-    monkeypatch.setattr(bootstrap_module, "fit_weights", counted)
+    monkeypatch.setattr(bootstrap_module, "_replicate_indices", counted)
     data = draw_singly(50, TRUNCEXP, ExposureSpec(m2=15), seed=86)
     weights = build_weight_matrix(data, candidate_grid(data, m1=15))
-    with pytest.raises(ValueError, match="outside 1..15"):
-        bootstrap_ci(weights, BootstrapConfig(b=2, points=(99,)))
-    assert fits == []
+    mass = fit_weights(weights)[0]
+    with pytest.raises(ValueError, match=message):
+        bootstrap_ci(weights, mass, b, seed=0, points=points)
+    assert draws == []
 
 
 @pytest.mark.parametrize("draw", [draw_singly, draw_doubly], ids=["single", "double"])
@@ -298,9 +287,7 @@ def test_replicate_start_without_positive_terms_is_rejected_before_any_draw(
     grid = candidate_grid(data)
     weights = build_weight_matrix(data, grid)
     with pytest.raises(ValueError, match="zero probability"):
-        bootstrap_ci(
-            weights, BootstrapConfig(b=20, seed=0), mass=MassFunction([1], [1.0])
-        )
+        bootstrap_ci(weights, MassFunction([1], [1.0]), b=20, seed=0)
     with pytest.raises(ValueError, match="zero probability"):
         refit_replicates(weights, 0, 20, np.array([1.0, 0.0]))
     assert draws == []

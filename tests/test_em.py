@@ -9,13 +9,13 @@ from incutime.weights import WeightMatrix
 
 def split_row_weights():
     data = validate_dataset(Dataset.singly([1], [1]))
-    return build_weight_matrix(data, Grid(points=[1, 2]))
+    return build_weight_matrix(data, Grid(2))
 
 
 def two_block_weights():
     # three records supported on day 1 only, one on day 2 only, one row each
     dense = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return WeightMatrix(dense=dense, grid=Grid(points=[1, 2]))
+    return WeightMatrix(dense=dense, grid=Grid(2))
 
 
 def test_em_step_absorbs_uncovered_mass_in_one_step():
@@ -72,7 +72,7 @@ def test_em_step_never_increases_criterion():
 
 def test_fit_em_trivial_dataset():
     data = validate_dataset(Dataset.singly([1, 1], [1, 1]))
-    mass = fit_em(data, Grid(points=[1]))
+    mass = fit_em(data, Grid(1))
     assert np.array_equal(mass.support, [1])
     assert mass.probs[0] == 1.0
 
@@ -81,7 +81,7 @@ def test_fit_em_two_block_closed_form():
     # disjoint single-day records: record i covers exactly day s_i, so the
     # optimum is the multinomial proportion per day
     data = validate_dataset(Dataset.singly([1, 1, 1, 1], [2, 2, 2, 1]))
-    grid = Grid(points=[1, 2])
+    grid = Grid(2)
     mass = fit_em(data, grid)
     assert np.allclose(mass.as_vector(grid), [0.25, 0.75], atol=1e-9)
 

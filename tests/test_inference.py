@@ -21,7 +21,7 @@ from incutime import (
     validate_dataset,
     wald_intervals,
 )
-from incutime.bootstrap import BootstrapConfig, bootstrap_ci, resample
+from incutime.bootstrap import bootstrap_ci, resample
 from incutime.inference import averaged_inverse_information
 from incutime.linalg import spd_invert
 from incutime.solver import _inner_loop, _minimize
@@ -30,7 +30,7 @@ from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 
 def day_weights(data, masses):
     """The weight matrix of the records over days 1..len(masses)."""
-    return build_weight_matrix(data, Grid(points=np.arange(1, len(masses) + 1)))
+    return build_weight_matrix(data, Grid(len(masses)))
 
 
 def test_observed_fisher_singly_two_point_toy():
@@ -71,7 +71,7 @@ def test_observed_fisher_doubly_hand_computed_three_records():
     # kernel rows on days 1..3 are (1,0,0), (0,1,0) and (1,1,1); the third row
     # is centered away entirely, leaving a diagonal matrix
     data = validate_dataset(Dataset.doubly([1, 1, 1], [0, 1, 0], [1, 2, 3]))
-    masses = MassFunction([1, 2, 3], [0.5, 0.3, 0.2]).as_vector(Grid(points=[1, 2, 3]))
+    masses = MassFunction([1, 2, 3], [0.5, 0.3, 0.2]).as_vector(Grid(3))
     fisher = observed_fisher(day_weights(data, masses), masses, np.array([1, 2, 3]))
     expected = np.array([[4.0 / 3.0, 0.0], [0.0, 100.0 / 27.0]])
     assert np.allclose(fisher, expected, atol=1e-12)
@@ -366,7 +366,7 @@ def test_replicate_failure_counts_are_python_ints():
     mass, _ = fit_npmle(data, grid)
     result = fisher_result(weights, mass, averaging=10)
     assert type(result.replicates_skipped) is int
-    table = bootstrap_ci(weights, BootstrapConfig(b=10, seed=0), mass=mass)
+    table = bootstrap_ci(weights, mass, b=10, seed=0)
     assert type(table.metadata["failed"]) is int
 
 

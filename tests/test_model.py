@@ -92,20 +92,20 @@ def test_dataset_columns_follow_the_mode():
 
 
 def test_cdf_from_mass_single_atom():
-    grid = Grid(points=np.arange(1, 6))
+    grid = Grid(5)
     fbar = cdf_from_mass(MassFunction([3], [1.0]), grid)
     assert np.array_equal(fbar.values, [0.0, 0.0, 1.0, 1.0, 1.0])
 
 
 def test_cdf_from_mass_two_atoms():
-    grid = Grid(points=np.arange(1, 3))
+    grid = Grid(2)
     fbar = cdf_from_mass(MassFunction([1, 2], [0.25, 0.75]), grid)
     assert fbar.value(1) == 0.25
     assert fbar.value(2) == 1.0
 
 
 def test_cdf_from_mass_partial_sums():
-    grid = Grid(points=np.arange(1, 10))
+    grid = Grid(9)
     fbar = cdf_from_mass(MassFunction([2, 5, 9], [0.2, 0.5, 0.3]), grid)
     # value at day i is the sum of masses at support points <= i
     assert fbar.value(4) == pytest.approx(0.2, abs=1e-15)
@@ -115,7 +115,7 @@ def test_cdf_from_mass_partial_sums():
 
 def test_cdf_from_mass_reaches_one_exactly():
     rng = np.random.default_rng(7)
-    grid = Grid(points=np.arange(1, 21))
+    grid = Grid(20)
     for _ in range(20):
         size = rng.integers(1, 8)
         support = np.sort(rng.choice(np.arange(1, 21), size=size, replace=False))
@@ -125,7 +125,7 @@ def test_cdf_from_mass_reaches_one_exactly():
 
 
 def test_cdf_from_mass_monotone_under_added_mass():
-    grid = Grid(points=np.arange(1, 11))
+    grid = Grid(10)
     base = MassFunction([4, 8], [0.6, 0.4])
     bumped = MassFunction([2, 4, 8], [0.2, 0.6, 0.4])  # renormalized inside
     f0 = cdf_from_mass(base, grid).values
@@ -179,29 +179,43 @@ def test_interval_table_from_bounds_clips_and_keeps_raw_bounds():
     assert table.metadata == {"n": 4}
 
 
-def test_grid_rejects_unsorted_points():
-    with pytest.raises(ValueError):
-        Grid(points=[3, 2])
+@pytest.mark.parametrize("top", [0, -1, 2.5, np.nan, np.inf])
+def test_grid_rejects_a_top_that_is_not_a_positive_integer(top):
+    with pytest.raises(ValueError, match="grid top"):
+        Grid(top)
+
+
+def test_grid_points_are_the_days_1_to_top():
+    grid = Grid(3)
+    assert np.array_equal(grid.points, [1, 2, 3])
+    assert grid.top == 3 and grid.horizon == 3
 
 
 @pytest.mark.parametrize("m1", [0, -20])
 def test_grid_rejects_m1_below_1_first(m1):
-    # checked before the points, so a negative m1 is not reported as an
-    # empty grid
+    # checked before the top, so a negative m1 is not reported as a bad top
     with pytest.raises(ValueError, match="m1 must be >= 1"):
-        Grid(points=np.arange(1, m1 + 6), m1=m1)
+        Grid(m1 + 5, m1=m1)
 
 
 def test_mass_function_prunes_zero_masses():
     mass = MassFunction([1, 2, 3], [0.5, 0.0, 0.5])
     assert np.array_equal(mass.support, [1, 3])
-    assert mass.mass_at(2) == 0.0
+    assert np.array_equal(mass.as_vector(Grid(3)), [0.5, 0.0, 0.5])
 
 
 def test_mass_function_renormalizes_drift():
     mass = MassFunction([1, 2], [0.2, 0.2])
     assert mass.probs.sum() == pytest.approx(1.0, abs=1e-15)
-    assert mass.mass_at(1) == pytest.approx(0.5, abs=1e-15)
+    assert mass.probs[0] == pytest.approx(0.5, abs=1e-15)
+
+
+@pytest.mark.parametrize("first", [0, -1])
+def test_mass_function_rejects_support_days_below_1(first):
+    # a day-0 or negative mass would otherwise be put on a wrong grid day,
+    # or lost, by the column d - 1 of day d
+    with pytest.raises(ValueError, match="support days must be positive"):
+        MassFunction([first, 2], [0.5, 0.5])
 
 
 def test_mass_function_rejects_all_zero():
@@ -210,13 +224,13 @@ def test_mass_function_rejects_all_zero():
 
 
 def test_mass_function_as_vector_embeds_into_grid():
-    grid = Grid(points=np.arange(1, 6))
+    grid = Grid(5)
     vec = MassFunction([2, 4], [0.3, 0.7]).as_vector(grid)
     assert np.array_equal(vec, [0.0, 0.3, 0.0, 0.7, 0.0])
 
 
 def test_mass_function_as_vector_rejects_foreign_support():
-    grid = Grid(points=[1, 2, 3])
+    grid = Grid(3)
     with pytest.raises(ValueError):
         MassFunction([2, 4], [0.5, 0.5]).as_vector(grid)
 

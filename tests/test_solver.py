@@ -38,20 +38,20 @@ from incutime.weights import WeightMatrix
 
 def one_record_weights():
     data = validate_dataset(Dataset.singly([1], [1]))
-    return build_weight_matrix(data, Grid(points=[1]))
+    return build_weight_matrix(data, Grid(1))
 
 
 def split_row_weights():
     # one record whose interval covers only the first of two grid points
     data = validate_dataset(Dataset.singly([1], [1]))
-    return build_weight_matrix(data, Grid(points=[1, 2]))
+    return build_weight_matrix(data, Grid(2))
 
 
 def two_block_weights():
     # three records supported on day 1 only, one on day 2 only; the maximum
     # likelihood masses are the multinomial proportions (0.75, 0.25)
     dense = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return WeightMatrix(dense=dense, grid=Grid(points=[1, 2]))
+    return WeightMatrix(dense=dense, grid=Grid(2))
 
 
 def point_model(W, p, model=_QuadraticModel):
@@ -126,7 +126,7 @@ def test_phi_gradient_split_mass():
 
 def test_phi_gradient_vanishes_for_uniform_all_ones():
     dense = np.ones((5, 4))
-    W = WeightMatrix(dense=dense, grid=Grid(points=np.arange(1, 5)))
+    W = WeightMatrix(dense=dense, grid=Grid(4))
     grad = phi_gradient(np.full(4, 0.25), W)
     assert np.allclose(grad, 0.0, atol=1e-14)
 
@@ -346,7 +346,7 @@ class CyclingModel(_QuadraticModel):
 
 
 def test_inner_loop_that_never_settles_is_a_typed_error():
-    W = WeightMatrix(dense=np.eye(3), grid=Grid(points=[1, 2, 3]))
+    W = WeightMatrix(dense=np.eye(3), grid=Grid(3))
     model = point_model(W, np.full(3, 1.0 / 3.0), CyclingModel)
     with pytest.raises(NonConvergenceError, match="did not settle on a support"):
         inner_loop(model, [0], W.m, 1e-12)
@@ -594,14 +594,14 @@ def test_resampled_refits_converge_despite_tiny_predicted_decrease():
     # row-resampled refits can reach points where the Newton step's predicted
     # decrease is smaller than one ulp of the criterion; the line search must
     # accept the step on resolution grounds instead of stalling
-    from incutime.bootstrap import BootstrapConfig, bootstrap_ci
+    from incutime.bootstrap import bootstrap_ci
 
     truth = TruthSpec(family="weibull", a=WEIBULL_A, b=WEIBULL_B, m1=15)
     data = draw_singly(1000, truth, ExposureSpec(m2=15), 12345)
     grid = candidate_grid(data, m1=15)
+    weights = build_weight_matrix(data, grid)
     table = bootstrap_ci(
-        build_weight_matrix(data, grid),
-        BootstrapConfig(b=300, seed=0, points=(4, 6, 8)),
+        weights, fit_weights(weights)[0], b=300, seed=0, points=(4, 6, 8)
     )
     assert table.metadata["failed"] == 0
 

@@ -29,7 +29,7 @@ def window_integral_by_step_sums(e, s_l, s_r, mass):
 def single_row(e, s, top):
     """Single-mode weight row of the record (e, s) over days 1..top."""
     data = validate_dataset(Dataset.singly([e], [s]))
-    return build_weight_matrix(data, Grid(points=np.arange(1, top + 1))).dense[0]
+    return build_weight_matrix(data, Grid(top)).dense[0]
 
 
 def test_indicator_weight_examples():
@@ -94,14 +94,14 @@ def test_psi_weight_matches_window_integral():
 
 def test_build_weight_matrix_singly_row():
     data = validate_dataset(Dataset.singly([2], [3]))
-    W = build_weight_matrix(data, Grid(points=np.arange(1, 6)))
+    W = build_weight_matrix(data, Grid(5))
     assert np.array_equal(W.dense[0], [0.0, 1.0, 1.0, 0.0, 0.0])
     assert np.array_equal(np.flatnonzero(W.dense[W.record_rows[0]]), [1, 2])
 
 
 def test_build_weight_matrix_trivial_record():
     data = validate_dataset(Dataset.singly([1], [1]))
-    W = build_weight_matrix(data, Grid(points=[1]))
+    W = build_weight_matrix(data, Grid(1))
     assert np.array_equal(W.dense, [[1.0]])
 
 
@@ -109,7 +109,7 @@ def test_build_weight_matrix_doubly_row():
     # onset day in {3, 4, 5}; day-1 and day-2 mass count in all three terms,
     # day-4 mass in two, day-5 mass in one
     data = validate_dataset(Dataset.doubly([10], [2], [5]))
-    W = build_weight_matrix(data, Grid(points=np.arange(1, 6)))
+    W = build_weight_matrix(data, Grid(5))
     assert np.array_equal(W.dense[0], [3.0, 3.0, 3.0, 2.0, 1.0])
 
 
@@ -117,7 +117,7 @@ def test_doubly_row_sums_singly_rows_over_window_days():
     # the window likelihood is the sum of known-onset-day likelihoods over
     # the integer days the window contains
     rng = np.random.default_rng(11)
-    grid = Grid(points=np.arange(1, 31))
+    grid = Grid(30)
     for _ in range(50):
         e = int(rng.integers(1, 12))
         s_l = int(rng.integers(0, 20))
@@ -133,7 +133,7 @@ def test_doubly_row_sums_singly_rows_over_window_days():
 
 
 def test_one_day_window_row_equals_indicator_row():
-    grid = Grid(points=np.arange(1, 10))
+    grid = Grid(9)
     double = build_weight_matrix(
         validate_dataset(Dataset.doubly([3], [4], [5])), grid
     )
@@ -148,7 +148,7 @@ def test_build_weight_matrix_singly_rows_are_contiguous_ones():
     e = rng.integers(1, 10, size=40)
     s = rng.integers(1, 25, size=40)
     data = validate_dataset(Dataset.singly(e, s))
-    grid = Grid(points=np.arange(1, 26))
+    grid = Grid(25)
     W = build_weight_matrix(data, grid)
     for i in range(data.n):
         row = W.dense[W.record_rows[i]]
@@ -160,9 +160,9 @@ def test_build_weight_matrix_singly_rows_are_contiguous_ones():
 def test_build_weight_matrix_flags_record_outside_grid():
     # a grid that misses every day of a record's window leaves that record
     # with an all-zero row, which must be reported, not silently ignored
-    data = validate_dataset(Dataset.doubly([5, 1], [0, 0], [4, 1]))
+    data = validate_dataset(Dataset.singly([1, 1], [1, 5]))
     with pytest.raises(InfeasibleRecordError) as err:
-        build_weight_matrix(data, Grid(points=np.array([2, 3])))
+        build_weight_matrix(data, Grid(3))
     assert err.value.record_index == 1
 
 
@@ -170,23 +170,31 @@ def test_hand_built_matrix_with_an_all_zero_row_names_its_first_record():
     # the matrix is refused when it is built, before any fit could start at
     # the uniform masses and find a zero likelihood term there
     with pytest.raises(InfeasibleRecordError) as err:
-        WeightMatrix(dense=np.array([[0.0, 0.0], [1.0, 0.0]]), grid=Grid(points=[1, 2]))
+        WeightMatrix(dense=np.array([[0.0, 0.0], [1.0, 0.0]]), grid=Grid(2))
     assert err.value.record_index == 0
     # rows 1 and 2 are empty; record 1 (on row 2) comes before record 3
     # (on row 1)
     dense = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InfeasibleRecordError) as err:
         WeightMatrix(
-            dense=dense, grid=Grid(points=[1, 2]), counts=[2, 1, 2],
+            dense=dense, grid=Grid(2), counts=[2, 1, 2],
             record_rows=[0, 2, 0, 1, 2],
         )
     assert err.value.record_index == 1
 
 
+@pytest.mark.parametrize("width", [1, 3], ids=["narrow", "wide"])
+def test_hand_built_matrix_needs_one_column_per_grid_day(width):
+    # day d is column d - 1, so a block of another width is refused when it
+    # is built, not by an IndexError deep in a fit
+    with pytest.raises(ValueError, match="one column per grid day"):
+        WeightMatrix(dense=np.eye(3)[:, :width], grid=Grid(2))
+
+
 @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
 def test_hand_built_matrix_with_a_negative_or_non_finite_weight_is_refused(bad):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        WeightMatrix(dense=np.array([[1.0, bad], [1.0, 0.0]]), grid=Grid(points=[1, 2]))
+        WeightMatrix(dense=np.array([[1.0, bad], [1.0, 0.0]]), grid=Grid(2))
 
 
 def _repeated_rows(*columns, n=500, seed=8):
