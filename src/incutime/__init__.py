@@ -8,13 +8,12 @@ and bootstrap confidence intervals, a truncated exponential parametric
 baseline, and a simulation engine for coverage studies.
 """
 
-from .bootstrap import bootstrap_ci, resample
+from .bootstrap import bootstrap_ci
 from .errors import (
     BootstrapFailureError,
     DatasetValidationError,
     DegenerateFitError,
     IncutimeError,
-    InfeasiblePointError,
     InfeasibleRecordError,
     NonConvergenceError,
     SingularMatrixError,
@@ -22,7 +21,6 @@ from .errors import (
 from .inference import (
     FisherResult,
     averaged_inverse_information,
-    cdf_covariance,
     extend_variances,
     fisher_result,
     observed_fisher,
@@ -56,14 +54,7 @@ from .simulate import (
     true_fbar,
     truth_cdf,
 )
-from .solver import (
-    IterationTrace,
-    fenchel_residuals,
-    fit_npmle,
-    fit_weights,
-    phi,
-    phi_gradient,
-)
+from .solver import IterationTrace, fit_npmle, fit_weights
 from .weights import (
     WeightMatrix,
     build_weight_matrix,
@@ -83,7 +74,6 @@ __all__ = [
     "FisherResult",
     "Grid",
     "IncutimeError",
-    "InfeasiblePointError",
     "InfeasibleRecordError",
     "IntervalRow",
     "IntervalTable",
@@ -99,23 +89,18 @@ __all__ = [
     "bootstrap_ci",
     "build_weight_matrix",
     "candidate_grid",
-    "cdf_covariance",
     "cdf_from_mass",
     "day_band_integral",
     "draw_doubly",
     "draw_singly",
     "extend_variances",
-    "fenchel_residuals",
     "fisher_result",
     "fit_npmle",
     "fit_trunc_exp",
     "fit_weights",
     "observed_fisher",
-    "phi",
-    "phi_gradient",
     "psi_weight",
     "window_weight",
-    "resample",
     "trunc_exp_cdf",
     "trunc_exp_fbar",
     "trunc_exp_loglik",

@@ -33,9 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BootstrapFailureError
-from .model import (
-    Dataset, IntervalTable, MassFunction, _check_level_and_days, cdf_from_mass,
-)
+from .model import IntervalTable, MassFunction, _check_level_and_days, cdf_from_mass
 from .solver import _minimize_batch
 from .weights import WeightMatrix
 
@@ -50,10 +48,6 @@ def _replicate_rng(seed, replicate_index: int) -> np.random.Generator:
 
 def _replicate_indices(seed, replicate_index: int, n: int) -> np.ndarray:
     return _replicate_rng(seed, replicate_index).integers(0, n, size=n)
-
-
-def resample(data: Dataset, seed, replicate_index: int) -> Dataset:
-    return data.take(_replicate_indices(seed, replicate_index, data.n))
 
 
 # Replicates refitted in one batch.  The batch's arrays grow with it (B x rows
@@ -71,8 +65,8 @@ def _replicate_counts(W: WeightMatrix, seed, replicate_index: int) -> np.ndarray
 def refit_replicates(W: WeightMatrix, seed, b: int, start: np.ndarray):
     """Refit b bootstrap resamples of the records behind W.
 
-    Replicate k draws the records of ``resample(data, seed, k)``, and its
-    refit starts at ``start``, the point fit's grid masses.  Returns an
+    Replicate k draws the records ``_replicate_indices(seed, k, W.n)``, and
+    its refit starts at ``start``, the point fit's grid masses.  Returns an
     iterator over the batches of at most ``BATCH_CAP`` replicates, in
     replicate order.  Each yields ``(counts, masses, ok)``: the replicates'
     count vectors over the rows of W (B, rows), their fitted grid masses

@@ -26,17 +26,6 @@ class InfeasibleRecordError(IncutimeError):
         self.record_index = record_index
 
 
-class InfeasiblePointError(IncutimeError):
-    """Raised when the criterion is evaluated where some likelihood term is zero."""
-
-    def __init__(self, record_index: int):
-        super().__init__(
-            f"zero likelihood term at record {record_index}; "
-            "the criterion is undefined at this point"
-        )
-        self.record_index = record_index
-
-
 class SingularMatrixError(IncutimeError):
     """Raised by the Cholesky factorization on a non-positive pivot."""
 

@@ -174,11 +174,6 @@ def _partial_sum_covariance(inverse: np.ndarray) -> np.ndarray:
     return ones @ inverse @ ones.T
 
 
-def cdf_covariance(fisher: np.ndarray) -> np.ndarray:
-    """Covariance of the day CDF at the mass points from the information."""
-    return _partial_sum_covariance(_invert_information(fisher)[0])
-
-
 def extend_variances(
     cdf_cov: np.ndarray, support: np.ndarray, m1: int
 ) -> np.ndarray:

@@ -78,7 +78,7 @@ class Dataset:
         return tuple(getattr(self, name) for name in _COLUMNS[self.mode])
 
     def take(self, indices) -> "Dataset":
-        """Row subset (used by resampling); preserves mode."""
+        """Row subset; preserves mode."""
         idx = np.asarray(indices)
         return Dataset.from_columns(self.mode, [col[idx] for col in self.columns])
 
@@ -248,10 +248,6 @@ class MassFunction:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
 
-    @property
-    def size(self) -> int:
-        return int(self.support.size)
-
     def as_vector(self, grid: Grid) -> np.ndarray:
         """Masses embedded into a full grid vector."""
         if self.support[-1] > grid.top:
@@ -290,11 +286,7 @@ class DayCdf:
 
 def cdf_from_mass(mass: MassFunction, grid: Grid) -> DayCdf:
     """Partial sums of the masses over the grid days 1..top."""
-    if mass.support[-1] > grid.top:
-        raise ValueError("mass support extends beyond the grid")
-    increments = np.zeros(grid.top)
-    increments[mass.support - 1] = mass.probs
-    return DayCdf(values=np.minimum(np.cumsum(increments), 1.0))
+    return DayCdf(values=np.minimum(np.cumsum(mass.as_vector(grid)), 1.0))
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    IncutimeError,
-    InfeasiblePointError,
-    NonConvergenceError,
-)
+from .errors import IncutimeError, NonConvergenceError
 from .linalg import PairProducts, spd_solve, spd_solve_stack
 from .model import Dataset, Grid, MassFunction
 from .weights import WeightMatrix, build_weight_matrix
@@ -119,15 +115,6 @@ class IterationTrace:
     def write(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(self.to_text())
-
-
-def _positive_terms(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    """sum_j p_j w_i(j) per pattern; raises if any of them vanishes."""
-    terms = weights.dense @ p
-    bad = np.flatnonzero(terms <= 0.0)
-    if bad.size:
-        raise InfeasiblePointError(weights.record_of(int(bad[0])))
-    return terms
 
 
 # The batch functions below take one row per replicate: masses (B, m), and
@@ -175,28 +162,6 @@ def _gradients(terms, counts, n, dense: np.ndarray) -> np.ndarray:
 def _residuals(p: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Both certificate residuals of every replicate."""
     return grad.min(axis=1), np.abs(_dots(p, grad))
-
-
-def _point_counts(weights: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
-    return weights.counts[None], np.array([float(weights.n)])
-
-
-def phi(p: np.ndarray, weights: WeightMatrix) -> float:
-    """Criterion value; raises if any likelihood term vanishes."""
-    terms = _positive_terms(p, weights)
-    return float(_criteria(p[None], terms[None], *_point_counts(weights))[0])
-
-
-def phi_gradient(p: np.ndarray, weights: WeightMatrix) -> np.ndarray:
-    """dphi/dp_j = 1 - (1/n) sum_i w_i(j) / (sum_k p_k w_i(k))."""
-    terms = _positive_terms(p, weights)
-    return _gradients(terms[None], *_point_counts(weights), weights.dense)[0]
-
-
-def fenchel_residuals(p: np.ndarray, weights: WeightMatrix) -> tuple[float, float]:
-    """(min over the grid of dphi/dp_j, |<p, grad phi>|)."""
-    min_grad, comp = _residuals(p[None], phi_gradient(p, weights)[None])
-    return float(min_grad[0]), float(comp[0])
 
 
 class _QuadraticModel:
@@ -366,9 +331,8 @@ def _inner_loop(model: _QuadraticModel, on: np.ndarray, inner_tol: float):
 def _trial(p: np.ndarray, weights: WeightMatrix, counts, n):
     """Line search trials' likelihood terms and criterion values.
 
-    A value is infinite when a term of a drawn row vanishes; unlike
-    ``_positive_terms`` this builds no error, so a rejected trial costs no
-    scan of the records.
+    A value is infinite when a term of a drawn row vanishes; no error is
+    built, so a rejected trial costs no scan of the records.
     """
     terms = _terms(p, weights.dense)
     values = _criteria(p, terms, counts, n)

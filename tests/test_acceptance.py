@@ -27,7 +27,6 @@ from incutime import (
     fit_npmle,
 )
 from incutime.cli import main, read_dataset_csv
-from incutime.em import fit_em
 from incutime.inference import fisher_result, wald_intervals
 from incutime.parametric import (
     TruncExpParams,
@@ -45,8 +44,10 @@ from incutime.simulate import (
     draw_singly,
     true_fbar,
 )
-from incutime.solver import fenchel_residuals, fit_weights
+from incutime.solver import fit_weights
 from incutime.weights import build_weight_matrix, psi_weight
+
+from oracle import fenchel_residuals, fit_em
 
 TOL = 1e-10
 DAYS = (4, 5, 6, 7, 8, 9)

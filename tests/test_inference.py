@@ -13,7 +13,6 @@ from incutime import (
     SingularMatrixError,
     build_weight_matrix,
     candidate_grid,
-    cdf_covariance,
     extend_variances,
     fisher_result,
     fit_npmle,
@@ -21,11 +20,17 @@ from incutime import (
     validate_dataset,
     wald_intervals,
 )
-from incutime.bootstrap import bootstrap_ci, resample
-from incutime.inference import averaged_inverse_information
+from incutime.bootstrap import bootstrap_ci
+from incutime.inference import (
+    _invert_information,
+    _partial_sum_covariance,
+    averaged_inverse_information,
+)
 from incutime.linalg import spd_invert
 from incutime.solver import _inner_loop, _minimize
 from incutime.simulate import ExposureSpec, TruthSpec, draw_doubly, draw_singly
+
+from oracle import resample
 
 
 def day_weights(data, masses):
@@ -214,12 +219,12 @@ def test_fisher_replicate_at_zero_fitted_probability_is_skipped(monkeypatch, bou
 
 
 def test_cdf_covariance_identity_information():
-    cov = cdf_covariance(np.eye(2))
+    cov = _partial_sum_covariance(spd_invert(np.eye(2)))
     assert np.allclose(cov, [[1.0, 1.0], [1.0, 2.0]], atol=1e-12)
 
 
 def test_cdf_covariance_diagonal_information():
-    cov = cdf_covariance(np.diag([4.0, 4.0]))
+    cov = _partial_sum_covariance(spd_invert(np.diag([4.0, 4.0])))
     assert np.allclose(cov, [[0.25, 0.25], [0.25, 0.5]], atol=1e-12)
 
 
@@ -227,7 +232,7 @@ def test_cdf_covariance_matches_partial_sum_monte_carlo():
     rng = np.random.default_rng(64)
     b = rng.normal(size=(3, 3))
     fisher = b.T @ b + np.eye(3)
-    cov = cdf_covariance(fisher)
+    cov = _partial_sum_covariance(spd_invert(fisher))
     draws = rng.multivariate_normal(
         np.zeros(3), np.linalg.inv(fisher), size=200_000
     )
@@ -373,5 +378,6 @@ def test_replicate_failure_counts_are_python_ints():
 def test_singular_information_falls_back_to_pseudo_inverse():
     singular = np.array([[1.0, 1.0], [1.0, 1.0]])
     with pytest.warns(RuntimeWarning):
-        cov = cdf_covariance(singular)
-    assert np.all(np.isfinite(cov))
+        inverse, used_pseudo_inverse = _invert_information(singular)
+    assert used_pseudo_inverse is True
+    assert np.all(np.isfinite(_partial_sum_covariance(inverse)))

@@ -24,16 +24,12 @@ from incutime import (  # noqa: E402
     SingularMatrixError,
     build_weight_matrix,
     candidate_grid,
-    fenchel_residuals,
     fit_npmle,
-    phi,
-    phi_gradient,
     validate_dataset,
 )
 from incutime.linalg import PairProducts, spd_invert, spd_solve  # noqa: E402
 from incutime.bootstrap import _replicate_counts, _replicate_indices  # noqa: E402
 from incutime.cli import _parse_body, _read_canonical  # noqa: E402
-from incutime.em import fit_em  # noqa: E402
 from incutime.solver import (  # noqa: E402
     _minimize,
     _minimize_batch,
@@ -41,6 +37,9 @@ from incutime.solver import (  # noqa: E402
     _QuadraticModel,
 )
 from incutime.weights import window_weight  # noqa: E402
+
+from oracle import fenchel_residuals, fit_em, phi, phi_gradient  # noqa: E402
+from test_solver import engine_at  # noqa: E402
 
 SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -89,6 +88,10 @@ def test_count_weighted_sums_equal_per_record_sums(data, seed):
     scaled = rows / terms[:, None]
     hessian = (scaled.T @ scaled) / data.n
     assert W.n == data.n
+    engine_value, engine_grad, _ = engine_at(p, W)
+    assert engine_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(engine_grad, grad, rtol=1e-12, atol=1e-12)
+    # the oracle that checks every fit's certificate is the same math
     assert phi(p, W) == pytest.approx(value, rel=1e-12, abs=1e-12)
     np.testing.assert_allclose(phi_gradient(p, W), grad, rtol=1e-12, atol=1e-12)
     model = _QuadraticModel(
@@ -96,7 +99,7 @@ def test_count_weighted_sums_equal_per_record_sums(data, seed):
         (W.dense @ p)[None],
         W.counts[None],
         np.array([W.n]),
-        phi_gradient(p, W)[None],
+        engine_grad[None],
     )
     np.testing.assert_allclose(model.gram[0], hessian, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(model.b[0], 1.0 - 2.0 * grad, rtol=1e-12, atol=1e-12)
@@ -247,8 +250,9 @@ def test_last_trace_row_is_evaluated_at_the_returned_masses(data):
     assume(trace.rows)
     last = trace.rows[-1]
     p = trace.final_masses
-    assert last.criterion == phi(p, W)
-    assert (last.min_gradient, last.complementarity) == fenchel_residuals(p, W)
+    value, _, residuals = engine_at(p, W)
+    assert last.criterion == value
+    assert (last.min_gradient, last.complementarity) == residuals
 
 
 @SETTINGS

@@ -24,16 +24,18 @@ from incutime.simulate import (
 )
 from incutime.linalg import PairProducts
 from incutime.solver import (
+    _criteria,
     _gradients,
     _inner_loop,
     _QuadraticModel,
+    _residuals,
+    _terms,
     armijo_search,
-    fenchel_residuals,
     fit_weights,
-    phi,
-    phi_gradient,
 )
 from incutime.weights import WeightMatrix
+
+from oracle import fenchel_residuals, fit_em, phi
 
 
 def one_record_weights():
@@ -54,6 +56,17 @@ def two_block_weights():
     return WeightMatrix(dense=dense, grid=Grid(2))
 
 
+def engine_at(p, W):
+    """The engine's criterion, gradient and certificate residuals at p on
+    W's own counts, a batch of one."""
+    terms = _terms(p[None], W.dense)
+    counts, n = W.counts[None], np.array([float(W.n)])
+    grad = _gradients(terms, counts, n, W.dense)
+    min_grad, comp = _residuals(p[None], grad)
+    value = _criteria(p[None], terms, counts, n)[0]
+    return float(value), grad[0], (float(min_grad[0]), float(comp[0]))
+
+
 def point_model(W, p, model=_QuadraticModel):
     """The quadratic model of W's own fit at p, a batch of one."""
     return model(
@@ -61,7 +74,7 @@ def point_model(W, p, model=_QuadraticModel):
         (W.dense @ p)[None],
         W.counts[None],
         np.array([float(W.n)]),
-        phi_gradient(p, W)[None],
+        engine_at(p, W)[1][None],
     )
 
 
@@ -96,6 +109,7 @@ def inner_loop(model, start_support, m, inner_tol):
 
 def line_search(p0, p_target, W):
     """The batch-of-one line search from p0 on W's own fit."""
+    value, grad, _ = engine_at(p0, W)
     p, alpha, terms, values, stalled = armijo_search(
         p0[None],
         p_target[None],
@@ -103,42 +117,43 @@ def line_search(p0, p_target, W):
         W.counts[None],
         np.array([float(W.n)]),
         (W.dense @ p0)[None],
-        phi_gradient(p0, W)[None],
-        np.array([phi(p0, W)]),
+        grad[None],
+        np.array([value]),
     )
     assert not stalled[0]
     return p[0], alpha[0], terms[0], values[0]
 
 
 def test_phi_at_point_mass():
-    assert phi(np.array([1.0]), one_record_weights()) == pytest.approx(0.0, abs=1e-15)
+    value, _, _ = engine_at(np.array([1.0]), one_record_weights())
+    assert value == pytest.approx(0.0, abs=1e-15)
 
 
 def test_phi_split_mass():
-    value = phi(np.array([0.5, 0.5]), split_row_weights())
+    value, _, _ = engine_at(np.array([0.5, 0.5]), split_row_weights())
     assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
 
 def test_phi_gradient_split_mass():
-    grad = phi_gradient(np.array([0.5, 0.5]), split_row_weights())
+    _, grad, _ = engine_at(np.array([0.5, 0.5]), split_row_weights())
     assert np.allclose(grad, [-1.0, 1.0], atol=1e-12)
 
 
 def test_phi_gradient_vanishes_for_uniform_all_ones():
     dense = np.ones((5, 4))
     W = WeightMatrix(dense=dense, grid=Grid(4))
-    grad = phi_gradient(np.full(4, 0.25), W)
+    _, grad, _ = engine_at(np.full(4, 0.25), W)
     assert np.allclose(grad, 0.0, atol=1e-14)
 
 
 def test_fenchel_residuals_split_mass():
-    min_grad, comp = fenchel_residuals(np.array([0.5, 0.5]), split_row_weights())
+    _, _, (min_grad, comp) = engine_at(np.array([0.5, 0.5]), split_row_weights())
     assert min_grad == pytest.approx(-1.0, abs=1e-12)
     assert comp == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fenchel_residuals_at_optimum():
-    min_grad, comp = fenchel_residuals(np.array([1.0]), one_record_weights())
+    _, _, (min_grad, comp) = engine_at(np.array([1.0]), one_record_weights())
     assert min_grad == pytest.approx(0.0, abs=1e-15)
     assert comp == pytest.approx(0.0, abs=1e-15)
 
@@ -392,7 +407,7 @@ def test_armijo_zero_direction_returns_start():
     p0 = np.array([0.5, 0.5])
     p, alpha, terms, value = line_search(p0, p0.copy(), W)
     assert np.array_equal(p, p0)
-    assert np.array_equal(terms, W.dense @ p0) and value == phi(p0, W)
+    assert np.array_equal(terms, W.dense @ p0) and value == engine_at(p0, W)[0]
 
 
 def test_armijo_accepts_full_step_on_clean_descent():
@@ -414,7 +429,7 @@ def test_armijo_backtracks_past_infeasible_target():
     assert alpha < 1.0
     assert phi(p, W) < phi(p0, W)
     # the accepted iterate comes with its own terms and criterion value
-    assert np.array_equal(terms, W.dense @ p) and value == phi(p, W)
+    assert np.array_equal(terms, W.dense @ p) and value == engine_at(p, W)[0]
 
 
 def test_armijo_batch_rows_are_their_batches_of_one():
@@ -429,9 +444,8 @@ def test_armijo_batch_rows_are_their_batches_of_one():
     counts = np.tile(W.counts, (4, 1))
     n = counts.sum(axis=1)
     terms = np.array([W.dense @ p for p in p0])
-    grads = np.array([phi_gradient(p, W) for p in p0])
-    values = np.array([phi(p, W) for p in p0])
-    args = (p0, targets, W, counts, n, terms, grads, values)
+    values, grads, _ = zip(*(engine_at(p, W) for p in p0))
+    args = (p0, targets, W, counts, n, terms, np.array(grads), np.array(values))
     batch = armijo_search(*args)
     assert batch[1][1] < 1.0 and batch[1][3] > 0.0
     for r in range(4):
@@ -618,8 +632,6 @@ def test_resampled_refits_converge_despite_tiny_predicted_decrease():
 def test_two_record_double_datasets_with_non_unique_optimum_converge(rows):
     # two distinct records make the likelihood optimum non-unique in p; only
     # the pattern probabilities W @ p are determined, and fit_em reaches them
-    from incutime.em import fit_em
-
     e, s_l, s_r = zip(*rows)
     data = validate_dataset(Dataset.doubly(e, s_l, s_r))
     grid = candidate_grid(data)
@@ -710,7 +722,6 @@ def test_refit_whose_added_point_depends_on_the_start_support_converges():
     # combination of the support's days; it takes the place of the support
     # day its exchange step picks instead of being refused as just added
     from incutime.bootstrap import _replicate_counts, _replicate_indices
-    from incutime.em import fit_em
     from incutime.solver import _minimize, _minimize_batch
 
     data = validate_dataset(Dataset.doubly([5, 5, 2, 2], [4, 0, 2, 1], [9, 3, 3, 8]))
